@@ -16,7 +16,6 @@ from .nn import (
     train,
 )
 from .stats import (
-    agreement_trials,
     clopper_pearson_lower,
     lemma_bound,
     ownership_verdict,
@@ -24,7 +23,6 @@ from .stats import (
 )
 from .watermark import (
     ProxyBall,
-    TriggerSample,
     TriggerSet,
     VerifyConfig,
     load_trigger_set,
@@ -43,11 +41,9 @@ __all__ = [
     "ModelSpec",
     "TrainConfig",
     "ProxyBall",
-    "TriggerSample",
     "TriggerSet",
     "VerifyConfig",
     "accuracy",
-    "agreement_trials",
     "clopper_pearson_lower",
     "cross_entropy",
     "forward",

@@ -62,3 +62,7 @@ class ConfigError(ProxymarkError):
 
 class AttackFailedError(ProxymarkError):
     """A stealing attack diverged or could not be run."""
+
+
+class TriggerSetFormatError(ProxymarkError):
+    """Trigger-set manifest and blob disagree, or the manifest is malformed."""

@@ -173,10 +173,28 @@ def _forward_cached(model: Model, x: np.ndarray):
     return _softmax(logits), pre, post
 
 
+def stacked_forward(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of k same-spec models on shared rows in one pass.
+
+    thetas is (k, num_params) and x is (rows, input_dim); the result is
+    (k, rows, num_classes). np.matmul runs each model's product as its own
+    GEMM, so every slice equals that model's batched forward bit for bit.
+    """
+    dims = spec.layer_dims
+    a, offset, last = x, 0, len(dims) - 2
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        w = thetas[:, offset : offset + fan_in * fan_out].reshape(-1, fan_in, fan_out)
+        offset += fan_in * fan_out
+        z = a @ w + thetas[:, None, offset : offset + fan_out]
+        offset += fan_out
+        a = z if i == last else _activate(z, spec.activation)
+    return _softmax(a)
+
+
 def forward(model: Model, x) -> np.ndarray:
     """Class-probability vector(s) for one sample or a batch."""
     xb, single = _check_features(model.spec, x)
-    probs, _, _ = _forward_cached(model, xb)
+    probs = stacked_forward(model.spec, model.theta[None], xb)[0]
     return probs[0] if single else probs
 
 
@@ -276,8 +294,14 @@ def fit(
         raise InputError("training data must be non-empty")
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise InputError(f"{labels.size} labels for {n} feature rows")
         if labels.min() < 0 or labels.max() >= spec.num_classes:
             raise InputError("label out of range")
+    if teacher_probs is not None and np.shape(teacher_probs) != (n, spec.num_classes):
+        raise InputError(
+            f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs)}"
+        )
     if cfg.batch_size > n:
         batch_size = n
     else:

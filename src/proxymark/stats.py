@@ -1,4 +1,4 @@
-"""Agreement trials, exact binomial lower bounds, and the ownership verdict."""
+"""Exact binomial lower bounds, trigger accuracy, and the ownership verdict."""
 
 from __future__ import annotations
 
@@ -14,13 +14,6 @@ from .nn import Model, predict
 _BISECT_TOL = 1e-10
 _CF_MAX_ITER = 300
 _CF_EPS = 3e-16
-
-
-@dataclass(frozen=True)
-class AgreementTrialResult:
-    t: int
-    m: int
-    per_proxy: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -78,14 +71,6 @@ class VerificationReport:
         "trigger_accuracy,clean_accuracy,p_hat,alpha,phi,"
         "baseline_accuracy,baseline_kind,threshold,verdict"
     )
-
-
-def agreement_trials(x, y_star: int, proxies: list[Model]) -> AgreementTrialResult:
-    """Bernoulli agreement outcomes: success = proxy predicts y_star at x."""
-    if not proxies:
-        raise InputError("need at least one proxy model")
-    hits = tuple(bool(predict(p, x) == y_star) for p in proxies)
-    return AgreementTrialResult(t=sum(hits), m=len(hits), per_proxy=hits)
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -184,13 +169,9 @@ def lemma_bound(n: int, alpha: float) -> float:
 
 def trigger_accuracy(trigger_set, model: Model) -> float:
     """Indicator mean of the model matching the stored surprise labels."""
-    samples = trigger_set.samples
-    if not samples:
+    if trigger_set.n == 0:
         raise InputError("trigger set is empty")
-    xs = np.stack([s.x_star for s in samples])
-    preds = predict(model, xs)
-    ys = np.array([s.y_star for s in samples])
-    return float(np.mean(preds == ys))
+    return float(np.mean(predict(model, trigger_set.xs) == trigger_set.y_star))
 
 
 def ownership_verdict(

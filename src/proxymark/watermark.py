@@ -20,35 +20,25 @@ from .errors import (
     InputError,
     InsufficientTransferabilityError,
     NoCandidateFoundError,
+    TriggerSetFormatError,
 )
-from .nn import Model, accuracy, fingerprint, predict
+from .nn import Model, accuracy, fingerprint, predict, stacked_forward
 
 LAMBDA_MARGIN = 1e-6  # keep the mixing weight strictly interior
 _REJECTION_CAP = 1000  # consecutive proxy rejections under tau < 1
+# Block sizes trade speed for peak memory: a stacked pass holds a few
+# (m, rows, width) float64 arrays. At m=64, n=200, blocks of 256 draws and
+# 1024 proxy-rows built a set 10-15% faster but raised peak RSS by 0.5-1 MB.
+_DRAW_BLOCK = 64  # pair draws the source labels in one batched forward pass
+_STACK_ROWS = 128  # proxy-rows (m x candidates) per stacked pass
 
 TRIGGER_FILE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TriggerSample:
-    x_star: np.ndarray
-    y_star: int
-    parent_a: int
-    parent_b: int
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_star", np.asarray(self.x_star, dtype=np.float64))
-        if not (0.0 < self.lam < 1.0):
-            raise InputError(f"lambda must be in (0, 1), got {self.lam}")
 
 
 @dataclass
 class VerifyStats:
     candidates_consumed: int = 0
     accepted: int = 0
-    proxy_seed_scheme: tuple[int, ...] = ()
-    trigger_accuracy: float = 1.0
 
     @property
     def acceptance_rate(self) -> float:
@@ -59,15 +49,35 @@ class VerifyStats:
 
 @dataclass
 class TriggerSet:
-    samples: list[TriggerSample]
+    """n samples as arrays: x* rows (n, d), 0-based surprise labels (n,),
+    hold-out parent indices (n, 2) and mixing weights (n,), with
+    xs[k] = lam[k] * x[parents[k, 0]] + (1 - lam[k]) * x[parents[k, 1]]."""
+
+    xs: np.ndarray
+    y_star: np.ndarray
+    parents: np.ndarray
+    lam: np.ndarray
     source_fingerprint: str
     ball_params: dict = field(default_factory=dict)
     seed: int | None = None
     stats: VerifyStats | None = None
 
+    def __post_init__(self):
+        self.xs = np.asarray(self.xs, dtype=np.float64)
+        self.y_star = np.asarray(self.y_star, dtype=np.int64)
+        self.parents = np.asarray(self.parents, dtype=np.int64).reshape(-1, 2)
+        self.lam = np.asarray(self.lam, dtype=np.float64)
+        n = len(self.xs)
+        if self.xs.ndim != 2 or self.parents.shape != (n, 2) or not (
+            self.y_star.shape == self.lam.shape == (n,)
+        ):
+            raise InputError("trigger-set arrays disagree on the number of samples")
+        if not np.all((self.lam > 0.0) & (self.lam < 1.0)):
+            raise InputError("lambda must be in (0, 1)")
+
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.y_star)
 
 
 @dataclass
@@ -119,25 +129,46 @@ class VerifyConfig:
             raise InputError("max_candidates must be >= n")
 
 
-def trigger_candidate(
-    holdout: Dataset, model: Model, rng: np.random.Generator, max_attempts: int = 100_000
-) -> TriggerSample:
-    """One accepted mixture sample, or NoCandidateFoundError after the cap."""
+def _check_holdout(holdout: Dataset) -> None:
     if holdout.num_classes < 3:
         raise InputError("need at least 3 classes for a third-class surprise label")
     if np.unique(holdout.labels).size < 2:
         raise NoCandidateFoundError("hold-out set contains fewer than 2 distinct classes")
-    n = holdout.n
+
+
+def _draw(holdout: Dataset, rng: np.random.Generator) -> tuple[int, int, float] | None:
+    """One pair draw: (a, b, lam) when the parents' classes differ, else None.
+
+    Every trigger search draws through here, so the generator is consumed in
+    one order whether candidates are judged one at a time or in blocks.
+    """
+    a, b = rng.integers(0, holdout.n, size=2)
+    if holdout.labels[a] == holdout.labels[b]:
+        return None
+    return int(a), int(b), float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))
+
+
+def _mix(holdout: Dataset, parents: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Row-wise lam * x_a + (1 - lam) * x_b; equal bit for bit to the scalar form."""
+    lam = lam[:, None]
+    return lam * holdout.features[parents[:, 0]] + (1.0 - lam) * holdout.features[parents[:, 1]]
+
+
+def trigger_candidate(
+    holdout: Dataset, model: Model, rng: np.random.Generator, max_attempts: int = 100_000
+) -> TriggerSet:
+    """One accepted mixture sample as a one-sample set, or
+    NoCandidateFoundError after the cap."""
+    _check_holdout(holdout)
     for _ in range(max_attempts):
-        i, j = rng.integers(0, n, size=2)
-        ya, yb = int(holdout.labels[i]), int(holdout.labels[j])
-        if ya == yb:
+        draw = _draw(holdout, rng)
+        if draw is None:
             continue
-        lam = float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))
-        x_star = lam * holdout.features[i] + (1.0 - lam) * holdout.features[j]
+        a, b, lam = draw
+        x_star = _mix(holdout, np.array([[a, b]]), np.array([lam]))
         y_star = predict(model, x_star)
-        if y_star != ya and y_star != yb:
-            return TriggerSample(x_star, y_star, int(i), int(j), lam)
+        if y_star[0] != holdout.labels[a] and y_star[0] != holdout.labels[b]:
+            return TriggerSet(x_star, y_star, [(a, b)], [lam], fingerprint(model))
     raise NoCandidateFoundError(
         f"no third-class mixture found in {max_attempts} pair draws"
     )
@@ -166,73 +197,102 @@ def sample_proxy(ball: ProxyBall, rng: np.random.Generator) -> Model:
     )
 
 
+def _proxies(ball: ProxyBall, cfg: VerifyConfig):
+    for i in range(cfg.m):
+        yield sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i]))
+
+
 def build_proxies(ball: ProxyBall, cfg: VerifyConfig) -> list[Model]:
     """The frozen proxy list for a verification run; reconstructible from seeds."""
-    return [
-        sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.m)
-    ]
+    return list(_proxies(ball, cfg))
 
 
-def _candidate_rng(cfg: VerifyConfig) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, 2])
+def _stack(ball: ProxyBall, cfg: VerifyConfig) -> np.ndarray:
+    """build_proxies' parameters as one (m, P) block, filled a model at a time
+    so that the models never all exist at once."""
+    thetas = np.empty((cfg.m, ball.source.theta.size))
+    for i, proxy in enumerate(_proxies(ball, cfg)):
+        thetas[i] = proxy.theta
+    return thetas
+
+
+def _pairs(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Parent pairs (k, 2) and mixing weights (k,) of (a, b, lam, ...) tuples."""
+    parents = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+    return parents, np.array([r[2] for r in rows], dtype=np.float64)
 
 
 def _collect(
     holdout: Dataset,
     model: Model,
-    proxies: list[Model],
+    thetas: np.ndarray,
     cfg: VerifyConfig,
-    extra_reject=None,
+    complements: list[Model] = (),
 ) -> TriggerSet:
-    rng = _candidate_rng(cfg)
-    stats = VerifyStats(proxy_seed_scheme=(cfg.seed, 1))
-    samples: list[TriggerSample] = []
-    attempt_cap = 10 * cfg.max_candidates
-    while len(samples) < cfg.n:
-        if stats.candidates_consumed >= cfg.max_candidates:
-            partial = TriggerSet(samples, fingerprint(model), seed=cfg.seed, stats=stats)
-            raise InsufficientTransferabilityError(
-                f"consumed {cfg.max_candidates} candidates, accepted only {len(samples)} "
-                f"of {cfg.n}; the ball is likely mis-sized",
-                partial_set=partial,
-                stats=stats,
-            )
-        cand = trigger_candidate(holdout, model, rng, max_attempts=attempt_cap)
-        stats.candidates_consumed += 1
-        if all(predict(p, cand.x_star) == cand.y_star for p in proxies) and (
-            extra_reject is None or not extra_reject(cand)
-        ):
-            samples.append(cand)
-            stats.accepted += 1
-    ts = TriggerSet(samples, fingerprint(model), seed=cfg.seed, stats=stats)
+    """Draw, label and judge candidates a block of pair draws at a time.
+
+    Pairs are drawn one by one in trigger_candidate's order. The source labels
+    a block in one forward pass; the proxies, stacked into one (m, P) block
+    of parameters, judge its third-class candidates in stacked passes of at
+    most _STACK_ROWS proxy-rows, then each complement judges those the
+    proxies kept. Outcomes are consumed in draw order, so the set,
+    candidates_consumed and both caps match a one-candidate-at-a-time loop.
+    """
+    _check_holdout(holdout)
+    rng = np.random.default_rng([cfg.seed, 2])
+    step = max(1, _STACK_ROWS // len(thetas))  # candidates per stacked pass
+    stats = VerifyStats()
+    kept: list[tuple[int, int, float, int]] = []  # accepted (a, b, lam, y*) in draw order
+    misses = 0  # pair draws since the last third-class mixture
+    while len(kept) < cfg.n and stats.candidates_consumed < cfg.max_candidates:
+        draws = [_draw(holdout, rng) for _ in range(_DRAW_BLOCK)]
+        parents, lam = _pairs([d for d in draws if d is not None])
+        xs = _mix(holdout, parents, lam)
+        ys = predict(model, xs)
+        third = (ys != holdout.labels[parents[:, 0]]) & (ys != holdout.labels[parents[:, 1]])
+        ok = third.copy()
+        candidates = np.flatnonzero(third)
+        for start in range(0, candidates.size, step):
+            rows = candidates[start : start + step]
+            preds = np.argmax(stacked_forward(model.spec, thetas, xs[rows]), axis=-1)
+            ok[rows] = np.all(preds == ys[rows], axis=0)
+        for comp in complements:
+            ok[ok] = predict(comp, xs[ok]) != ys[ok]
+        verdicts = zip(third.tolist(), ok.tolist(), ys.tolist())  # one per mixture
+        for draw in draws:
+            is_third, accept, y = next(verdicts) if draw is not None else (False, False, -1)
+            if not is_third:
+                misses += 1
+                if misses >= 10 * cfg.max_candidates:
+                    raise NoCandidateFoundError(
+                        f"no third-class mixture found in {misses} pair draws"
+                    )
+                continue
+            misses = 0
+            stats.candidates_consumed += 1
+            if accept:
+                kept.append((*draw, y))
+            if len(kept) == cfg.n or stats.candidates_consumed >= cfg.max_candidates:
+                break
+    stats.accepted = len(kept)
+    parents, lam = _pairs(kept)
+    ts = TriggerSet(_mix(holdout, parents, lam), [k[3] for k in kept], parents, lam,
+                    fingerprint(model), seed=cfg.seed, stats=stats)
+    if ts.n < cfg.n:
+        raise InsufficientTransferabilityError(
+            f"consumed {cfg.max_candidates} candidates, accepted only {ts.n} "
+            f"of {cfg.n}; the ball is likely mis-sized",
+            partial_set=ts,
+            stats=stats,
+        )
     return ts
 
 
 def verify_trigger_set(
-    holdout: Dataset,
-    model: Model,
-    ball: ProxyBall,
-    cfg: VerifyConfig,
-    *,
-    resample_per_candidate: bool = False,
+    holdout: Dataset, model: Model, ball: ProxyBall, cfg: VerifyConfig
 ) -> TriggerSet:
     """Collect n candidates on which all m frozen proxies agree with y*."""
-    if resample_per_candidate:
-        # ablation path: a fresh proxy batch per candidate
-        counter = [0]
-
-        def check(cand):
-            counter[0] += 1
-            fresh = [
-                sample_proxy(ball, np.random.default_rng([cfg.seed, 3, counter[0], i]))
-                for i in range(cfg.m)
-            ]
-            return any(predict(p, cand.x_star) != cand.y_star for p in fresh)
-
-        ts = _collect(holdout, model, [], cfg, extra_reject=check)
-    else:
-        proxies = build_proxies(ball, cfg)
-        ts = _collect(holdout, model, proxies, cfg)
+    ts = _collect(holdout, model, _stack(ball, cfg), cfg)
     ts.ball_params = ball.params() | {"m": cfg.m}
     return ts
 
@@ -258,51 +318,40 @@ def verify_trigger_set_integrity(
                 raise InputError(
                     f"complement {k} lies inside the ball (distance {dist:.4g} <= {ball.delta:.4g})"
                 )
-    proxies = build_proxies(ball, cfg)
-
-    def agrees_with_any_complement(cand):
-        return any(predict(c, cand.x_star) == cand.y_star for c in complements)
-
-    ts = _collect(holdout, model, proxies, cfg, extra_reject=agrees_with_any_complement)
+    ts = _collect(holdout, model, _stack(ball, cfg), cfg, complements)
     ts.ball_params = ball.params() | {"m": cfg.m, "complements": len(complements)}
     return ts
 
 
-def recompute_and_check(sample: TriggerSample, holdout: Dataset, model: Model) -> bool:
-    """Audit a (possibly deserialized) sample against its parents and the model."""
-    if not (0 <= sample.parent_a < holdout.n and 0 <= sample.parent_b < holdout.n):
+def recompute_and_check(ts: TriggerSet, holdout: Dataset, model: Model) -> bool:
+    """Audit a (possibly deserialized) set: every x* is its parents' mixture
+    and the model still assigns every y*."""
+    if ts.n == 0:
+        return True
+    if ts.parents.min() < 0 or ts.parents.max() >= holdout.n:
         raise InputError("parent index out of range")
-    mixed = (
-        sample.lam * holdout.features[sample.parent_a]
-        + (1.0 - sample.lam) * holdout.features[sample.parent_b]
-    )
-    if np.max(np.abs(mixed - sample.x_star)) > 1e-12:
+    if np.max(np.abs(_mix(holdout, ts.parents, ts.lam) - ts.xs)) > 1e-12:
         return False
-    return predict(model, sample.x_star) == sample.y_star
+    return bool(np.array_equal(predict(model, ts.xs), ts.y_star))
 
 
 def save_trigger_set(ts: TriggerSet, path) -> None:
     """Manifest (JSON) next to a little-endian float64 blob of the x* vectors."""
     path = Path(path)
     blob_path = path.with_suffix(".bin")
-    xs = np.stack([s.x_star for s in ts.samples]) if ts.samples else np.zeros((0, 0))
-    blob_path.write_bytes(xs.astype("<f8").tobytes())
+    blob_path.write_bytes(ts.xs.astype("<f8").tobytes())
     manifest = {
         "version": TRIGGER_FILE_VERSION,
         "n": ts.n,
-        "dim": int(xs.shape[1]) if ts.samples else 0,
+        "dim": int(ts.xs.shape[1]) if ts.n else 0,
         "source_fingerprint": ts.source_fingerprint,
         "seeds": {"verify_seed": ts.seed},
         "ball": ts.ball_params,
         "blob": blob_path.name,
         "samples": [
-            {
-                "parent_a": s.parent_a,
-                "parent_b": s.parent_b,
-                "lambda": f"{s.lam:.17g}",
-                "y_star": s.y_star + 1,  # 1-based on disk
-            }
-            for s in ts.samples
+            # y* is 1-based on disk
+            {"parent_a": a, "parent_b": b, "lambda": f"{lam:.17g}", "y_star": y + 1}
+            for (a, b), lam, y in zip(ts.parents.tolist(), ts.lam.tolist(), ts.y_star.tolist())
         ],
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
@@ -310,24 +359,27 @@ def save_trigger_set(ts: TriggerSet, path) -> None:
 
 def load_trigger_set(path) -> TriggerSet:
     path = Path(path)
-    manifest = json.loads(path.read_text(encoding="ascii"))
+    try:
+        manifest = json.loads(path.read_text(encoding="ascii"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise TriggerSetFormatError(f"{path}: not a JSON manifest ({exc})") from exc
     if manifest.get("version") != TRIGGER_FILE_VERSION:
         raise InputError(f"unsupported trigger-set file version {manifest.get('version')}")
-    blob = (path.parent / manifest["blob"]).read_bytes()
-    n, dim = manifest["n"], manifest["dim"]
-    xs = np.frombuffer(blob, dtype="<f8").reshape(n, dim) if n else np.zeros((0, 0))
-    samples = [
-        TriggerSample(
-            x_star=xs[i].copy(),
-            y_star=rec["y_star"] - 1,
-            parent_a=rec["parent_a"],
-            parent_b=rec["parent_b"],
-            lam=float(rec["lambda"]),
+    n, dim, name, records = manifest["n"], manifest["dim"], manifest["blob"], manifest["samples"]
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+        raise TriggerSetFormatError(f"{path}: blob {name!r} is not a bare file name")
+    blob = (path.parent / name).read_bytes()
+    if len(blob) != 8 * n * dim:
+        raise TriggerSetFormatError(
+            f"{path}: blob has {len(blob)} bytes, n={n} and dim={dim} need {8 * n * dim}"
         )
-        for i, rec in enumerate(manifest["samples"])
-    ]
+    if len(records) != n:
+        raise TriggerSetFormatError(f"{path}: {len(records)} sample records for n={n}")
     return TriggerSet(
-        samples,
+        np.frombuffer(blob, dtype="<f8").reshape(n, dim).astype(np.float64),
+        [rec["y_star"] - 1 for rec in records],
+        [(rec["parent_a"], rec["parent_b"]) for rec in records],
+        [float(rec["lambda"]) for rec in records],
         manifest["source_fingerprint"],
         ball_params=manifest.get("ball", {}),
         seed=manifest.get("seeds", {}).get("verify_seed"),

@@ -177,16 +177,15 @@ def test_criterion_03_gradient_correctness():
 def test_criterion_04_verified_set_soundness(separation_runs):
     checked = failures = 0
     for run in separation_runs:
-        proxies = build_proxies(run.ball, run.verify_cfg)
-        for s in run.trigger_set.samples:
-            checked += 1
-            ya = int(run.holdout.labels[s.parent_a])
-            yb = int(run.holdout.labels[s.parent_b])
-            predicate = s.y_star not in (ya, yb)
-            audit = pm.recompute_and_check(s, run.holdout, run.source)
-            agree = all(pm.predict(p, s.x_star) == s.y_star for p in proxies)
-            if not (predicate and audit and agree):
-                failures += 1
+        ts = run.trigger_set
+        parent_labels = run.holdout.labels[ts.parents]
+        ok = np.all(parent_labels != ts.y_star[:, None], axis=1)
+        for p in build_proxies(run.ball, run.verify_cfg):
+            ok &= pm.predict(p, ts.xs) == ts.y_star
+        if not pm.recompute_and_check(ts, run.holdout, run.source):
+            ok[:] = False
+        checked += ts.n
+        failures += int(np.count_nonzero(~ok))
     ok = failures == 0
     _report(4, "verified-set soundness", ok, f"{checked} samples rechecked, {failures} failures")
 
@@ -230,12 +229,8 @@ def test_criterion_06_transferability_direction():
             pm.sample_proxy(ball, np.random.default_rng([derive_seed(seed, 1), 6, i]))
             for i in range(20)
         ]
-        acc_v = np.mean(
-            [[pm.predict(p, s.x_star) == s.y_star for s in verified.samples] for p in fresh]
-        )
-        acc_u = np.mean(
-            [[pm.predict(p, s.x_star) == s.y_star for s in unverified] for p in fresh]
-        )
+        acc_v = np.mean([pm.predict(p, verified.xs) == verified.y_star for p in fresh])
+        acc_u = np.mean([[pm.trigger_accuracy(s, p) for s in unverified] for p in fresh])
         diffs.append(acc_v - acc_u)
     mean_diff = float(np.mean(diffs))
     elapsed = time.monotonic() - start

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior and exit codes."""
 
+import json
+
 import pytest
 
 from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
@@ -44,6 +46,19 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["watermark", "--config", str(path)]) == EXIT_EXPERIMENT
         assert "experiment error" in capsys.readouterr().err
+
+    def test_manifest_blob_mismatch_is_3(self, config_file, capsys):
+        path, out = config_file
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        manifest_path = out / "trigger_set.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["n"] -= 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = ["verify", "--suspect", str(out / "source.ckpt"),
+                "--trigger-set", str(manifest_path)]
+        assert main(argv) == EXIT_EXPERIMENT
+        assert "blob has" in capsys.readouterr().err
 
 
 class TestSubcommands:

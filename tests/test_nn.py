@@ -192,6 +192,19 @@ class TestGradients:
 
 
 class TestFit:
+    def test_label_count_must_match_rows(self, blob_split, small_spec):
+        train_data, _ = blob_split
+        labels = np.concatenate([train_data.labels, train_data.labels[:5]])
+        with pytest.raises(InputError, match="labels"):
+            fit(small_spec, train_data.features, labels, pm.TrainConfig(epochs=1))
+
+    def test_teacher_probs_shape_checked(self, blob_split, small_spec):
+        train_data, _ = blob_split
+        short = np.full((train_data.n - 5, 4), 0.25)
+        with pytest.raises(InputError, match="teacher_probs"):
+            fit(small_spec, train_data.features, None, pm.TrainConfig(epochs=1),
+                teacher_probs=short, gamma=1.0)
+
     def test_training_reduces_loss(self, blob_split, small_spec):
         train_data, _ = blob_split
         _, history = fit(

@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 
 import proxymark as pm
 from proxymark.errors import DegenerateRuleError, InputError
-from proxymark.stats import (
-    AgreementTrialResult,
-    Verdict,
-    agreement_trials,
-    beta_quantile,
-    regularized_incomplete_beta,
-)
+from proxymark.stats import Verdict, beta_quantile, regularized_incomplete_beta
+from proxymark.watermark import TriggerSet
 
 
 class TestIncompleteBeta:
@@ -130,22 +125,6 @@ class TestLemmaBound:
         assert abs(empirical - expected) < 5 * se
 
 
-class TestAgreementTrials:
-    def test_counts_proxy_hits(self, trained_source, blob_split):
-        _, holdout = blob_split
-        x = holdout.features[0]
-        y = int(holdout.labels[0])
-        result = agreement_trials(x, y, [trained_source, trained_source])
-        assert isinstance(result, AgreementTrialResult)
-        assert result.m == 2
-        assert result.t in (0, 2)  # identical proxies agree with each other
-        assert result.t == sum(result.per_proxy)
-
-    def test_requires_proxies(self):
-        with pytest.raises(InputError):
-            agreement_trials(np.zeros(2), 0, [])
-
-
 class TestOwnershipVerdict:
     def test_three_regions(self):
         verdict, thr = pm.ownership_verdict(0.9, 0.3, 0.8)
@@ -180,18 +159,12 @@ class TestOwnershipVerdict:
 
 class TestTriggerAccuracy:
     def test_indicator_mean(self, trained_source):
-        from proxymark.watermark import TriggerSample, TriggerSet
-
         preds_match = pm.predict(trained_source, np.zeros(2))
-        samples = [
-            TriggerSample(np.zeros(2), preds_match, 0, 1, 0.5),
-            TriggerSample(np.zeros(2), (preds_match + 1) % 4, 0, 1, 0.5),
-        ]
-        ts = TriggerSet(samples, "deadbeef")
+        ys = [preds_match, (preds_match + 1) % 4]
+        ts = TriggerSet(np.zeros((2, 2)), ys, [(0, 1), (0, 1)], [0.5, 0.5], "deadbeef")
         assert pm.trigger_accuracy(ts, trained_source) == pytest.approx(0.5)
 
     def test_empty_set_rejected(self, trained_source):
-        from proxymark.watermark import TriggerSet
-
+        empty = TriggerSet(np.zeros((0, 2)), [], [], [], "deadbeef")
         with pytest.raises(InputError):
-            pm.trigger_accuracy(TriggerSet([], "deadbeef"), trained_source)
+            pm.trigger_accuracy(empty, trained_source)

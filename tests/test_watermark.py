@@ -1,5 +1,8 @@
 """Trigger candidates, proxy-ball sampling, verification, and serialization."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +12,15 @@ from proxymark.errors import (
     InputError,
     InsufficientTransferabilityError,
     NoCandidateFoundError,
+    TriggerSetFormatError,
 )
 from proxymark.nn import fingerprint
 from proxymark.watermark import (
     LAMBDA_MARGIN,
     ProxyBall,
-    TriggerSample,
+    TriggerSet,
     VerifyConfig,
+    VerifyStats,
     build_proxies,
     relative_delta,
 )
@@ -36,16 +41,15 @@ class TestTriggerCandidate:
         rng = np.random.default_rng(0)
         for _ in range(20):
             cand = pm.trigger_candidate(holdout, source, rng)
-            ya = int(holdout.labels[cand.parent_a])
-            yb = int(holdout.labels[cand.parent_b])
+            assert cand.n == 1
+            (a, b), lam, y_star, x_star = cand.parents[0], cand.lam[0], cand.y_star[0], cand.xs[0]
+            ya, yb = int(holdout.labels[a]), int(holdout.labels[b])
             assert ya != yb
-            assert cand.y_star not in (ya, yb)
-            assert pm.predict(source, cand.x_star) == cand.y_star
-            assert LAMBDA_MARGIN < cand.lam < 1 - LAMBDA_MARGIN
-            mixed = cand.lam * holdout.features[cand.parent_a] + (
-                1 - cand.lam
-            ) * holdout.features[cand.parent_b]
-            np.testing.assert_array_equal(mixed, cand.x_star)
+            assert y_star not in (ya, yb)
+            assert pm.predict(source, x_star) == y_star
+            assert LAMBDA_MARGIN < lam < 1 - LAMBDA_MARGIN
+            mixed = lam * holdout.features[a] + (1 - lam) * holdout.features[b]
+            np.testing.assert_array_equal(mixed, x_star)
 
     def test_exhaustion_raises(self, pipeline):
         # with only classes 0 and 1 present, a constant-0 model always predicts
@@ -64,10 +68,9 @@ class TestTriggerCandidate:
             pm.trigger_candidate(only, source, np.random.default_rng(0))
 
     def test_lambda_validation(self):
-        with pytest.raises(InputError):
-            TriggerSample(np.zeros(2), 0, 0, 1, 0.0)
-        with pytest.raises(InputError):
-            TriggerSample(np.zeros(2), 0, 0, 1, 1.0)
+        for lam in (0.0, 1.0):
+            with pytest.raises(InputError):
+                TriggerSet(np.zeros((1, 2)), [0], [(0, 1)], [lam], "deadbeef")
 
 
 class TestProxyBall:
@@ -144,10 +147,9 @@ class TestVerifyTriggerSet:
         cfg = VerifyConfig(m=16, n=10, seed=21)
         ts = pm.verify_trigger_set(holdout, source, ball, cfg)
         assert ts.n == 10
-        proxies = build_proxies(ball, cfg)
-        for s in ts.samples:
-            assert pm.recompute_and_check(s, holdout, source)
-            assert all(pm.predict(p, s.x_star) == s.y_star for p in proxies)
+        assert pm.recompute_and_check(ts, holdout, source)
+        for p in build_proxies(ball, cfg):
+            assert np.array_equal(pm.predict(p, ts.xs), ts.y_star)
 
     def test_acceptance_stats(self, pipeline):
         _, _, holdout, source = pipeline
@@ -164,9 +166,8 @@ class TestVerifyTriggerSet:
         cfg = VerifyConfig(m=8, n=6, seed=33)
         a = pm.verify_trigger_set(holdout, source, ball, cfg)
         b = pm.verify_trigger_set(holdout, source, ball, cfg)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.x_star, sb.x_star)
-            assert sa.y_star == sb.y_star and sa.lam == sb.lam
+        for field in ("xs", "y_star", "parents", "lam"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_acceptance_rate_non_increasing_in_m(self, pipeline):
         # the same candidate stream must pass a superset of proxies
@@ -193,13 +194,6 @@ class TestVerifyTriggerSet:
         assert err.value.stats.candidates_consumed == 30
         assert err.value.partial_set.n < 10
 
-    def test_resample_per_candidate_path(self, pipeline):
-        _, _, holdout, source = pipeline
-        ball = ProxyBall(source, relative_delta(source, 0.05))
-        cfg = VerifyConfig(m=4, n=5, seed=13)
-        ts = pm.verify_trigger_set(holdout, source, ball, cfg, resample_per_candidate=True)
-        assert ts.n == 5
-
 
 class TestIntegrityVerification:
     def test_complement_always_disagrees(self, pipeline):
@@ -211,8 +205,7 @@ class TestIntegrityVerification:
         ball = ProxyBall(source, relative_delta(source, 0.05))
         cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
         ts = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
-        for s in ts.samples:
-            assert pm.predict(complement, s.x_star) != s.y_star
+        assert np.all(pm.predict(complement, ts.xs) != ts.y_star)
         assert pm.trigger_accuracy(ts, complement) == 0.0
 
     def test_rate_not_above_plain(self, pipeline):
@@ -266,11 +259,8 @@ class TestSerialization:
         assert loaded.source_fingerprint == ts.source_fingerprint
         assert loaded.seed == ts.seed
         assert loaded.ball_params["m"] == 8
-        for sa, sb in zip(ts.samples, loaded.samples):
-            assert np.array_equal(sa.x_star, sb.x_star)
-            assert sa.y_star == sb.y_star
-            assert sa.lam == sb.lam
-            assert (sa.parent_a, sa.parent_b) == (sb.parent_a, sb.parent_b)
+        for field in ("xs", "y_star", "parents", "lam"):
+            assert np.array_equal(getattr(ts, field), getattr(loaded, field))
 
     def test_reloaded_samples_pass_audit(self, pipeline, tmp_path):
         _, _, holdout, source = pipeline
@@ -278,25 +268,20 @@ class TestSerialization:
         ts = pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=8, n=6, seed=2))
         path = tmp_path / "trigger_set.json"
         pm.save_trigger_set(ts, path)
-        for s in pm.load_trigger_set(path).samples:
-            assert pm.recompute_and_check(s, holdout, source)
+        assert pm.recompute_and_check(pm.load_trigger_set(path), holdout, source)
 
     def test_y_star_one_based_on_disk(self, pipeline, tmp_path):
-        import json
-
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.05))
         ts = pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=4, seed=2))
         path = tmp_path / "trigger_set.json"
         pm.save_trigger_set(ts, path)
         manifest = json.loads(path.read_text())
-        for rec, s in zip(manifest["samples"], ts.samples):
-            assert rec["y_star"] == s.y_star + 1
+        for rec, y in zip(manifest["samples"], ts.y_star):
+            assert rec["y_star"] == y + 1
             assert 1 <= rec["y_star"] <= 4
 
     def test_version_check(self, pipeline, tmp_path):
-        import json
-
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.05))
         ts = pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=4, seed=2))
@@ -309,19 +294,160 @@ class TestSerialization:
             pm.load_trigger_set(path)
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda man: man.update(n=man["n"] - 1), "bytes"),
+            (lambda man: man["samples"].pop(), "sample records"),
+            (lambda man: man.update(blob="../trigger_set.bin"), "bare file name"),
+            (lambda man: man.update(blob="/tmp/trigger_set.bin"), "bare file name"),
+        ],
+    )
+    def test_malformed_manifest_rejected(self, pipeline, tmp_path, edit, message):
+        _, _, holdout, source = pipeline
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        ts = pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=4, seed=2))
+        path = tmp_path / "trigger_set.json"
+        pm.save_trigger_set(ts, path)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(TriggerSetFormatError, match=message):
+            pm.load_trigger_set(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "trigger_set.json"
+        path.write_text('{"version": 1, "n": ')
+        with pytest.raises(TriggerSetFormatError, match="not a JSON manifest"):
+            pm.load_trigger_set(path)
+
+
 class TestRecomputeAndCheck:
     def test_detects_tampered_sample(self, pipeline):
         _, _, holdout, source = pipeline
-        rng = np.random.default_rng(8)
-        cand = pm.trigger_candidate(holdout, source, rng)
-        tampered = TriggerSample(
-            cand.x_star + 1e-6, cand.y_star, cand.parent_a, cand.parent_b, cand.lam
-        )
-        assert pm.recompute_and_check(cand, holdout, source)
-        assert not pm.recompute_and_check(tampered, holdout, source)
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        ts = pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=4, seed=8))
+        xs = ts.xs.copy()
+        xs[2] += 1e-6
+        assert pm.recompute_and_check(ts, holdout, source)
+        assert not pm.recompute_and_check(replace(ts, xs=xs), holdout, source)
 
     def test_parent_bounds(self, pipeline):
         _, _, holdout, source = pipeline
-        bad = TriggerSample(np.zeros(2), 0, holdout.n, 0, 0.5)
+        bad = TriggerSet(np.zeros((1, 2)), [0], [(holdout.n, 0)], [0.5], "deadbeef")
         with pytest.raises(InputError):
             pm.recompute_and_check(bad, holdout, source)
+
+
+def reference_collect(holdout, source, proxies, cfg, complements=()):
+    """The per-candidate loop the block engine replaces: one pair draw at a
+    time and single-row predict for the source, every proxy and every
+    complement. Returns (x*, y*, parents, lam) rows and the VerifyStats."""
+    rng = np.random.default_rng([cfg.seed, 2])
+    feats, labels = holdout.features, holdout.labels
+    rows, stats = [], VerifyStats()
+    cap = 10 * cfg.max_candidates
+    while len(rows) < cfg.n and stats.candidates_consumed < cfg.max_candidates:
+        for _ in range(cap):
+            i, j = rng.integers(0, holdout.n, size=2)
+            if labels[i] == labels[j]:
+                continue
+            lam = float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))
+            x = lam * feats[i] + (1.0 - lam) * feats[j]
+            y = pm.predict(source, x)
+            if y not in (labels[i], labels[j]):
+                break
+        else:
+            raise NoCandidateFoundError(f"no third-class mixture found in {cap} pair draws")
+        stats.candidates_consumed += 1
+        if all(pm.predict(p, x) == y for p in proxies) and not any(
+            pm.predict(c, x) == y for c in complements
+        ):
+            rows.append((x, y, (int(i), int(j)), lam))
+            stats.accepted += 1
+    return rows, stats
+
+
+def assert_same_set(ts, rows, stats):
+    assert ts.stats == stats
+    assert ts.n == len(rows)
+    if rows:
+        xs, ys, parents, lams = (np.array(col) for col in zip(*rows))
+        assert np.array_equal(ts.xs, xs)
+        assert np.array_equal(ts.y_star, ys)
+        assert np.array_equal(ts.parents, parents)
+        assert np.array_equal(ts.lam, lams)
+
+
+def assert_scores_one(ts, source, proxies):
+    for model in (source, *proxies):
+        assert pm.trigger_accuracy(ts, model) == 1.0
+
+
+class TestEngineEquivalence:
+    """The block engine gives the per-candidate loop's sets bit for bit."""
+
+    @pytest.mark.parametrize(
+        "frac, m, n, seed",
+        [(0.05, 1, 5, 0), (0.05, 8, 6, 33), (0.05, 16, 10, 21), (0.3, 64, 30, 77),
+         (0.3, 16, 40, 5)],
+    )
+    def test_plain_build(self, pipeline, frac, m, n, seed):
+        _, _, holdout, source = pipeline
+        ball = ProxyBall(source, relative_delta(source, frac))
+        cfg = VerifyConfig(m=m, n=n, max_candidates=5000, seed=seed)
+        proxies = build_proxies(ball, cfg)
+        ts = pm.verify_trigger_set(holdout, source, ball, cfg)
+        assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg))
+        assert_scores_one(ts, source, proxies)
+
+    def test_integrity_build(self, pipeline):
+        _, train_data, holdout, source = pipeline
+        complement = pm.train(
+            source.spec, train_data.subset(range(0, train_data.n, 2)),
+            pm.TrainConfig(epochs=60, seed=99),
+        )
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
+        proxies = build_proxies(ball, cfg)
+        ts = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+        assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg, [complement]))
+        assert_scores_one(ts, source, proxies)
+
+    def test_exhausted_build(self, pipeline):
+        _, _, holdout, source = pipeline
+        ball = ProxyBall(source, relative_delta(source, 0.5))
+        cfg = VerifyConfig(m=16, n=10, max_candidates=30, seed=2)
+        proxies = build_proxies(ball, cfg)
+        with pytest.raises(InsufficientTransferabilityError) as err:
+            pm.verify_trigger_set(holdout, source, ball, cfg)
+        partial = err.value.partial_set
+        assert 0 < partial.n < cfg.n
+        assert partial.stats.candidates_consumed == cfg.max_candidates
+        assert_same_set(partial, *reference_collect(holdout, source, proxies, cfg))
+        assert_scores_one(partial, source, proxies)
+
+    def test_draw_cap(self, pipeline):
+        # max_candidates=2 caps each search at 20 pair draws, so some seeds run
+        # dry mid-build; both loops must stop on the same seeds
+        _, _, holdout, source = pipeline
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        capped = []
+        for seed in range(40):
+            cfg = VerifyConfig(m=4, n=2, max_candidates=2, seed=seed)
+            try:
+                expected = reference_collect(holdout, source, build_proxies(ball, cfg), cfg)
+            except NoCandidateFoundError as err:
+                expected = str(err)
+            try:
+                ts = pm.verify_trigger_set(holdout, source, ball, cfg)
+            except NoCandidateFoundError as err:
+                ts = str(err)
+            except InsufficientTransferabilityError as err:
+                ts = err.partial_set
+            if isinstance(expected, str):
+                assert ts == expected
+                capped.append(seed)
+            else:
+                assert_same_set(ts, *expected)
+        assert 0 < len(capped) < 40
