@@ -7,6 +7,7 @@ Subcommands: train, watermark, attack, verify, integrity, run. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -199,8 +200,16 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(factory) -> argparse.ArgumentParser:
+    """One parser per process: an argparse parser is a web of reference cycles
+    that only the full collector frees. Keyed by the factory, so a wrapped or
+    patched build_parser takes effect."""
+    return factory()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -171,6 +171,11 @@ def trigger_accuracy(trigger_set, model: Model) -> float:
     """Indicator mean of the model matching the stored surprise labels."""
     if trigger_set.n == 0:
         raise InputError("trigger set is empty")
+    if trigger_set.y_star.max() >= model.spec.num_classes:
+        raise InputError(
+            f"trigger set has surprise labels up to {trigger_set.y_star.max() + 1} "
+            f"(1-based), beyond the model's {model.spec.num_classes} classes"
+        )
     return float(np.mean(predict(model, trigger_set.xs) == trigger_set.y_star))
 
 

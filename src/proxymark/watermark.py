@@ -136,16 +136,65 @@ def _check_holdout(holdout: Dataset) -> None:
         raise NoCandidateFoundError("hold-out set contains fewer than 2 distinct classes")
 
 
-def _draw(holdout: Dataset, rng: np.random.Generator) -> tuple[int, int, float] | None:
-    """One pair draw: (a, b, lam) when the parents' classes differ, else None.
+def _pair_draws(labels, rng: np.random.Generator, k: int) -> list[tuple[int, int, float] | None]:
+    """k pair draws: (a, b, lam) when the parents' classes differ, else None.
 
-    Every trigger search draws through here, so the generator is consumed in
-    one order whether candidates are judged one at a time or in blocks.
+    A draw takes from the generator exactly what ``rng.integers(0, n, size=2)``
+    and then, when the classes differ, ``rng.uniform(LAMBDA_MARGIN,
+    1 - LAMBDA_MARGIN)`` would take (n = len(labels)), and gives the same
+    values, rebuilt from raw PCG64 words in one Python loop:
+
+    - a bounded integer is Lemire's method on a 32-bit value u, the low half
+      of a fresh word or else the high half buffered from the last one: it is
+      (u * n) >> 32, redrawn while (u * n) mod 2^32 < (2^32 - n) mod n;
+    - lam is lo + (hi - lo) * (top 53 bits of a fresh word) * 2^-53, and the
+      buffered half is left alone.
+
+    Words are read ahead; afterwards the state is restored, advanced by the
+    words used, and given the buffered half, as numpy leaves it.
     """
-    a, b = rng.integers(0, holdout.n, size=2)
-    if holdout.labels[a] == holdout.labels[b]:
-        return None
-    return int(a), int(b), float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise InputError(f"pair draws need a PCG64 generator, not {type(bits).__name__}")
+    n = len(labels)  # numpy takes this 32-bit path for n <= 2^32
+    saved = bits.state
+    has_half, half = saved["has_uint32"], saved["uinteger"]  # numpy's 32-bit buffer
+
+    def fresh():
+        while True:
+            yield from bits.random_raw(2 * k).tolist()
+
+    words = fresh()
+    used = 0
+    threshold = (2**32 - n) % n
+    lo, span = LAMBDA_MARGIN, (1.0 - LAMBDA_MARGIN) - LAMBDA_MARGIN
+    draws = []
+    pair = [0, 0]
+    for _ in range(k):
+        for i in (0, 1):
+            while True:
+                if has_half:
+                    u, has_half = half, 0
+                else:
+                    w = next(words)
+                    used += 1
+                    u, half, has_half = w & 0xFFFFFFFF, w >> 32, 1
+                m = u * n
+                if m & 0xFFFFFFFF >= threshold:
+                    break
+            pair[i] = m >> 32
+        a, b = pair
+        if labels[a] == labels[b]:
+            draws.append(None)
+        else:
+            used += 1
+            draws.append((a, b, lo + span * ((next(words) >> 11) * 2.0**-53)))
+    bits.state = saved
+    bits.advance(used)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bits.state = state
+    return draws
 
 
 def _mix(holdout: Dataset, parents: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -160,8 +209,9 @@ def trigger_candidate(
     """One accepted mixture sample as a one-sample set, or
     NoCandidateFoundError after the cap."""
     _check_holdout(holdout)
+    labels = holdout.labels.tolist()
     for _ in range(max_attempts):
-        draw = _draw(holdout, rng)
+        [draw] = _pair_draws(labels, rng, 1)
         if draw is None:
             continue
         a, b, lam = draw
@@ -231,7 +281,7 @@ def _collect(
 ) -> TriggerSet:
     """Draw, label and judge candidates a block of pair draws at a time.
 
-    Pairs are drawn one by one in trigger_candidate's order. The source labels
+    Pairs are drawn in trigger_candidate's generator order. The source labels
     a block in one forward pass; the proxies, stacked into one (m, P) block
     of parameters, judge its third-class candidates in stacked passes of at
     most _STACK_ROWS proxy-rows, then each complement judges those the
@@ -244,8 +294,9 @@ def _collect(
     stats = VerifyStats()
     kept: list[tuple[int, int, float, int]] = []  # accepted (a, b, lam, y*) in draw order
     misses = 0  # pair draws since the last third-class mixture
+    labels = holdout.labels.tolist()
     while len(kept) < cfg.n and stats.candidates_consumed < cfg.max_candidates:
-        draws = [_draw(holdout, rng) for _ in range(_DRAW_BLOCK)]
+        draws = _pair_draws(labels, rng, _DRAW_BLOCK)
         parents, lam = _pairs([d for d in draws if d is not None])
         xs = _mix(holdout, parents, lam)
         ys = predict(model, xs)
@@ -361,14 +412,31 @@ def load_trigger_set(path) -> TriggerSet:
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="ascii"))
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or malformed JSON
         raise TriggerSetFormatError(f"{path}: not a JSON manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise TriggerSetFormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != TRIGGER_FILE_VERSION:
         raise InputError(f"unsupported trigger-set file version {manifest.get('version')}")
-    n, dim, name, records = manifest["n"], manifest["dim"], manifest["blob"], manifest["samples"]
+    try:
+        n, dim, name, records, source_fp = (
+            manifest[key] for key in ("n", "dim", "blob", "samples", "source_fingerprint")
+        )
+        y_star = [rec["y_star"] - 1 for rec in records]  # 1-based on disk
+        parents = [(rec["parent_a"], rec["parent_b"]) for rec in records]
+        lam = [float(rec["lambda"]) for rec in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TriggerSetFormatError(
+            f"{path}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
+    if min(y_star, default=0) < 0:
+        raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
         raise TriggerSetFormatError(f"{path}: blob {name!r} is not a bare file name")
-    blob = (path.parent / name).read_bytes()
+    try:
+        blob = (path.parent / name).read_bytes()
+    except OSError as exc:
+        raise TriggerSetFormatError(f"{path}: cannot read blob {name!r} ({exc})") from exc
     if len(blob) != 8 * n * dim:
         raise TriggerSetFormatError(
             f"{path}: blob has {len(blob)} bytes, n={n} and dim={dim} need {8 * n * dim}"
@@ -377,10 +445,10 @@ def load_trigger_set(path) -> TriggerSet:
         raise TriggerSetFormatError(f"{path}: {len(records)} sample records for n={n}")
     return TriggerSet(
         np.frombuffer(blob, dtype="<f8").reshape(n, dim).astype(np.float64),
-        [rec["y_star"] - 1 for rec in records],
-        [(rec["parent_a"], rec["parent_b"]) for rec in records],
-        [float(rec["lambda"]) for rec in records],
-        manifest["source_fingerprint"],
+        y_star,
+        parents,
+        lam,
+        source_fp,
         ball_params=manifest.get("ball", {}),
         seed=manifest.get("seeds", {}).get("verify_seed"),
     )

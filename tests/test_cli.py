@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
+from proxymark import cli
+from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, build_parser, main
 
 YAML = """
 seed: 9
@@ -60,6 +61,26 @@ class TestExitCodes:
         assert main(argv) == EXIT_EXPERIMENT
         assert "blob has" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda man: man.update(blob="missing.bin"), "cannot read blob"),
+            (lambda man: man["samples"][0].update(y_star=5), "beyond the model's 4 classes"),
+        ],
+    )
+    def test_malformed_trigger_set_is_3(self, config_file, capsys, edit, message):
+        path, out = config_file
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        manifest_path = out / "trigger_set.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = ["verify", "--suspect", str(out / "source.ckpt"),
+                "--trigger-set", str(manifest_path)]
+        assert main(argv) == EXIT_EXPERIMENT
+        assert message in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_train_writes_checkpoint(self, config_file, capsys):
@@ -111,3 +132,26 @@ class TestSubcommands:
         alt = tmp_path / "alt"
         assert main(["train", "--config", str(path), "--seed", "123", "--out", str(alt)]) == EXIT_OK
         assert (alt / "source.ckpt").exists()
+
+    def test_successive_calls_share_one_parser(self, config_file, tmp_path, monkeypatch):
+        # one process, several subcommands: the parser is built once, and no
+        # option of an earlier call leaks into a later one
+        path, out = config_file
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        seeded = tmp_path / "seeded"
+        assert main(["train", "--config", str(path), "--seed", "123", "--out", str(seeded)]) == EXIT_OK
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        assert main(["verify", "--suspect", str(out / "source.ckpt"),
+                     "--trigger-set", str(out / "trigger_set.json")]) == EXIT_OK
+        assert main(["train", "--config", str(path)]) == EXIT_OK
+        assert built == [1]
+        ckpt = (out / "source.ckpt").read_bytes()
+        assert ckpt != (seeded / "source.ckpt").read_bytes()
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert (tmp_path / "again" / "source.ckpt").read_bytes() == ckpt

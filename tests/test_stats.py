@@ -168,3 +168,8 @@ class TestTriggerAccuracy:
         empty = TriggerSet(np.zeros((0, 2)), [], [], [], "deadbeef")
         with pytest.raises(InputError):
             pm.trigger_accuracy(empty, trained_source)
+
+    def test_label_beyond_model_classes_rejected(self, trained_source):
+        ts = TriggerSet(np.zeros((1, 2)), [4], [(0, 1)], [0.5], "deadbeef")
+        with pytest.raises(InputError, match="beyond the model's 4 classes"):
+            pm.trigger_accuracy(ts, trained_source)

@@ -21,6 +21,7 @@ from proxymark.watermark import (
     TriggerSet,
     VerifyConfig,
     VerifyStats,
+    _pair_draws,
     build_proxies,
     relative_delta,
 )
@@ -71,6 +72,64 @@ class TestTriggerCandidate:
         for lam in (0.0, 1.0):
             with pytest.raises(InputError):
                 TriggerSet(np.zeros((1, 2)), [0], [(0, 1)], [lam], "deadbeef")
+
+    def test_non_pcg64_generator_rejected(self, pipeline):
+        # the pair draws reproduce numpy's stream from raw PCG64 words only
+        _, _, holdout, source = pipeline
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(InputError, match="PCG64"):
+            pm.trigger_candidate(holdout, source, rng)
+
+
+class IndexLabels:
+    """Hold-out labels of a stand-in too large to store: computed from the index."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return int(i) % 3
+
+
+def numpy_draws(labels, rng, k):
+    """k pair draws made with numpy's own calls, one at a time."""
+    draws = []
+    for _ in range(k):
+        a, b = rng.integers(0, len(labels), size=2)
+        if labels[a] == labels[b]:
+            draws.append(None)
+        else:
+            draws.append((int(a), int(b), float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))))
+    return draws
+
+
+class TestPairDraws:
+    """_pair_draws rebuilds numpy's integers/uniform stream from raw words."""
+
+    @pytest.mark.parametrize("n", [2, 3, 300, 12345, 3 * 2**30])
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_matches_numpy_calls(self, n, buffered, k):
+        if n < 2**20:
+            labels = [i % 3 for i in range(n)]
+        else:
+            labels = IndexLabels(n)  # (2^32 - n) mod n = 2^30: a quarter of draws rejected
+        for seed in range(4):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:  # a 32-bit draw leaves the word's high half buffered
+                for rng in (ours, theirs):
+                    rng.integers(0, 2**32, dtype=np.uint32)
+            assert ours.bit_generator.state["has_uint32"] == int(buffered)
+            for _ in range(3):
+                assert _pair_draws(labels, ours, k) == numpy_draws(labels, theirs, k)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+            # what each generator draws next, through the 32-bit buffer and whole words
+            assert np.array_equal(ours.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  theirs.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert ours.random(3).tolist() == theirs.random(3).tolist()
 
 
 class TestProxyBall:
@@ -301,6 +360,13 @@ class TestSerialization:
             (lambda man: man["samples"].pop(), "sample records"),
             (lambda man: man.update(blob="../trigger_set.bin"), "bare file name"),
             (lambda man: man.update(blob="/tmp/trigger_set.bin"), "bare file name"),
+            (lambda man: man.update(blob="missing.bin"), "cannot read blob"),
+            (lambda man: [man], "not a JSON object"),
+            (lambda man: man["samples"][1].update(y_star=0), "below 1"),
+        ]
+        + [
+            (lambda man, key=key: man["samples"][1].pop(key), f"KeyError: '{key}'")
+            for key in ("parent_a", "parent_b", "lambda", "y_star")
         ],
     )
     def test_malformed_manifest_rejected(self, pipeline, tmp_path, edit, message):
@@ -310,8 +376,8 @@ class TestSerialization:
         path = tmp_path / "trigger_set.json"
         pm.save_trigger_set(ts, path)
         manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
+        replaced = edit(manifest)  # a list edit replaces the manifest
+        path.write_text(json.dumps(replaced if isinstance(replaced, list) else manifest))
         with pytest.raises(TriggerSetFormatError, match=message):
             pm.load_trigger_set(path)
 
