@@ -11,23 +11,10 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import attacks as atk
 from .config import ExperimentConfig, load_config
-from .data import SplitSpec, split
 from .errors import ConfigError, ProxymarkError
-from .harness import (
-    attack_config,
-    build_dataset,
-    derive_seed,
-    make_ball,
-    run_experiment,
-    source_spec,
-    source_train_config,
-    train_independent,
-)
-from .nn import accuracy, load_checkpoint, save_checkpoint, train
+from .harness import build_trigger_set, derive_seed, run_attacks, run_experiment, setup, train_independent
+from .nn import accuracy, load_checkpoint, save_checkpoint
 from .stats import (
     TransferabilityBound,
     VerificationReport,
@@ -36,53 +23,45 @@ from .stats import (
     ownership_verdict,
     trigger_accuracy,
 )
-from .watermark import VerifyConfig, load_trigger_set, save_trigger_set, verify_trigger_set, verify_trigger_set_integrity
+from .watermark import load_trigger_set, save_trigger_set
+
+# perfbench/spans.py wraps these names in every module that once called them;
+# they stay importable from here, although the harness stages now call them.
+from .data import split  # noqa: F401
+from .watermark import verify_trigger_set  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EXPERIMENT = 3
 
 
-def _load(args) -> ExperimentConfig:
+def _load(args) -> tuple[ExperimentConfig, Path]:
+    """The command's config with its --seed/--out overrides, and its output
+    directory (created)."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.output_dir = args.out
-    return cfg
-
-
-def _prepare(cfg: ExperimentConfig):
-    data = build_dataset(cfg)
-    train_data, holdout = split(
-        data, SplitSpec(cfg.dataset.holdout_fraction, derive_seed(cfg.seed, 11))
-    )
-    spec = source_spec(cfg, data)
-    train_cfg = source_train_config(cfg, derive_seed(cfg.seed, 0))
-    source = train(spec, train_data, train_cfg)
-    return data, train_data, holdout, spec, train_cfg, source
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return cfg, outdir
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data, train_data, _, _, _, source = _prepare(cfg)
-    save_checkpoint(source, outdir / "source.ckpt")
-    print(f"source trained: accuracy {accuracy(data, source):.4f}")
+    cfg, outdir = _load(args)
+    s = setup(cfg)
+    save_checkpoint(s.source, outdir / "source.ckpt")
+    print(f"source trained: accuracy {accuracy(s.data, s.source):.4f}")
     print(f"checkpoint: {outdir / 'source.ckpt'}")
     return EXIT_OK
 
 
 def cmd_watermark(args) -> int:
-    cfg = _load(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data, train_data, holdout, _, _, source = _prepare(cfg)
-    save_checkpoint(source, outdir / "source.ckpt")
-    ball = make_ball(cfg, source, train_data)
-    vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    ts = verify_trigger_set(holdout, source, ball, vcfg)
+    cfg, outdir = _load(args)
+    s = setup(cfg)
+    save_checkpoint(s.source, outdir / "source.ckpt")
+    ts = build_trigger_set(cfg, s)
     save_trigger_set(ts, outdir / "trigger_set.json")
     print(f"verified trigger set: n={ts.n}, "
           f"acceptance rate {ts.stats.acceptance_rate:.3f} "
@@ -92,19 +71,11 @@ def cmd_watermark(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = _load(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data, train_data, _, spec, train_cfg, source = _prepare(cfg)
-    if not cfg.attacks:
-        raise ConfigError("no attacks configured")
-    for ai, block in enumerate(cfg.attacks):
-        for k in range(max(cfg.repeats, 1)):
-            seed = derive_seed(cfg.seed, 2, ai, k)
-            result = atk.run_attack(source, attack_config(block, spec, train_data, train_cfg, seed))
-            name = f"surrogate_{block.kind}_{ai}_{k}"
-            save_checkpoint(result.surrogate, outdir / f"{name}.ckpt")
-            print(f"{name}: clean accuracy {result.clean_accuracy:.4f}")
+    cfg, outdir = _load(args)
+    if not cfg.attacks or cfg.repeats == 0:
+        raise ConfigError("no attacks configured (attacks is empty or repeats is 0)")
+    for _, _, path, result in run_attacks(cfg, setup(cfg), outdir):
+        print(f"{path.stem}: clean accuracy {result.clean_accuracy:.4f}")
     return EXIT_OK
 
 
@@ -138,18 +109,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_integrity(args) -> int:
-    cfg = _load(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data, train_data, holdout, spec, train_cfg, source = _prepare(cfg)
+    cfg, outdir = _load(args)
+    s = setup(cfg)
     complement = train_independent(
-        spec, train_data, cfg.independents.subset_fraction, derive_seed(cfg.seed, 4),
-        train_cfg=train_cfg,
+        s.spec, s.train_data, cfg.independents.subset_fraction, derive_seed(cfg.seed, 4),
+        train_cfg=s.train_cfg,
     )
-    ball = make_ball(cfg, source, train_data)
-    vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    plain = verify_trigger_set(holdout, source, ball, vcfg)
-    strict = verify_trigger_set_integrity(holdout, source, ball, [complement], vcfg)
+    plain = build_trigger_set(cfg, s)
+    strict = build_trigger_set(cfg, s, [complement])
     save_trigger_set(strict, outdir / "trigger_set_integrity.json")
     print(f"plain acceptance rate:     {plain.stats.acceptance_rate:.4f}")
     print(f"integrity acceptance rate: {strict.stats.acceptance_rate:.4f}")
@@ -159,7 +126,7 @@ def cmd_integrity(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg, _ = _load(args)
     report = run_experiment(cfg)
     print(f"report written to {cfg.output_dir}")
     print(f"baseline: {report.baseline_accuracy:.4f} ({report.baseline_kind}); "

@@ -1,32 +1,40 @@
 """Strict YAML experiment configuration.
 
-Unknown keys are rejected so typos fail fast. Seeds for sub-stages are
-derived from the single top-level seed (see harness.derive_seed).
+The dataclasses below are the schema: one loader walks their fields, so each
+key, type and default is stated once. Unknown keys are rejected so typos fail
+fast, every value is checked against its field's annotation (an int is taken
+where a float is expected), and `null` is accepted only for fields typed
+`X | None`. A field whose YAML key sits in a sub-mapping names it in its
+metadata, e.g. `dataset.split.holdout_fraction` is `DatasetBlock.holdout_fraction`.
+Seeds for sub-stages are derived from the single top-level seed (see
+harness.derive_seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .attacks import ATTACK_KINDS
 from .errors import ConfigError
 from .nn import ACTIVATIONS
 
 DELTA_MODES = ("relative", "absolute")
-ATTACK_KEYS = {
-    "kind",
-    "gamma",
-    "prune_ratio",
-    "hidden_layers",
-    "activation",
-    "epochs",
-    "learning_rate",
-    "momentum",
-    "weight_decay",
-    "batch_size",
-}
+
+
+def _in(section: str, default):
+    """A field read from the YAML sub-mapping `section` of its block."""
+    return field(default=default, metadata={"section": section})
+
+
+def _check_choice(value, choices, ctx: str) -> None:
+    if value not in choices:
+        raise ConfigError(f"{ctx}: unknown {value!r}, expected one of {tuple(choices)}")
 
 
 @dataclass
@@ -39,20 +47,34 @@ class GeneratorBlock:
 
 @dataclass
 class DatasetBlock:
-    generator: GeneratorBlock | None = None
-    csv: str | None = None
-    holdout_fraction: float = 0.5
+    generator: GeneratorBlock | None = field(default_factory=GeneratorBlock)
+    csv: str | None = None  # a given csv replaces the generator
+    holdout_fraction: float = _in("split", 0.5)
+
+    def __post_init__(self):
+        if self.csv is None:
+            if self.generator is None:
+                raise ConfigError("dataset: give a generator or a csv")
+            return
+        if self.generator not in (None, GeneratorBlock()):
+            raise ConfigError("dataset: give either generator or csv, not both")
+        if not Path(self.csv).exists():
+            raise ConfigError(f"dataset.csv: file not found: {self.csv}")
+        self.generator = None
 
 
 @dataclass
 class SourceBlock:
-    hidden_layers: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
-    epochs: int = 100
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    batch_size: int = 2048
+    hidden_layers: tuple[int, ...] = _in("model", (32, 32))
+    activation: str = _in("model", "relu")
+    epochs: int = _in("train", 100)
+    learning_rate: float = _in("train", 0.05)
+    momentum: float = _in("train", 0.9)
+    weight_decay: float = _in("train", 5e-4)
+    batch_size: int = _in("train", 2048)
+
+    def __post_init__(self):
+        _check_choice(self.activation, ACTIVATIONS, "source.model.activation")
 
 
 @dataclass
@@ -65,6 +87,9 @@ class BallBlock:
     n: int = 10
     max_candidates: int | None = None
     alpha: float = 0.05
+
+    def __post_init__(self):
+        _check_choice(self.delta_mode, DELTA_MODES, "ball.delta_mode")
 
 
 @dataclass
@@ -79,6 +104,11 @@ class AttackBlock:
     momentum: float | None = None
     weight_decay: float | None = None
     batch_size: int | None = None
+
+    def __post_init__(self):
+        _check_choice(self.kind, ATTACK_KINDS, "attacks.kind")
+        if self.activation is not None:
+            _check_choice(self.activation, ACTIVATIONS, f"attacks ({self.kind}).activation")
 
 
 @dataclass
@@ -98,6 +128,10 @@ class ExperimentConfig:
     independents: IndependentsBlock = field(default_factory=IndependentsBlock)
     repeats: int = 3
 
+    def __post_init__(self):
+        if self.repeats < 0:
+            raise ConfigError("repeats must be >= 0")
+
 
 def _require_mapping(node, ctx):
     if not isinstance(node, dict):
@@ -105,147 +139,58 @@ def _require_mapping(node, ctx):
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(node) - allowed
+def _join(ctx: str | None, key: str) -> str:
+    return f"{ctx}.{key}" if ctx else key
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """YAML key ("section.name" for a field in a sub-mapping) -> (field, annotation)."""
+    hints = get_type_hints(cls)
+    return {_join(f.metadata.get("section"), f.name): (f, hints[f.name]) for f in fields(cls)}
+
+
+def _build(cls, node, ctx: str):
+    """An instance of dataclass `cls` from the YAML mapping `node`."""
+    where, schema = ctx or "config", _schema(cls)
+    node = dict(_require_mapping(node, where))
+    for section in dict.fromkeys(key.split(".")[0] for key in schema if "." in key):
+        if section in node:
+            sub = _require_mapping(node.pop(section), _join(ctx, section))
+            node.update({_join(section, key): value for key, value in sub.items()})
+    unknown = node.keys() - schema.keys()
     if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (f, _) in schema.items() if key not in node
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing {', '.join(missing)}")
+    return cls(**{schema[key][0].name: _value(schema[key][1], value, _join(ctx, key))
+                  for key, value in node.items()})
 
 
-def _parse_dataset(node) -> DatasetBlock:
-    node = _require_mapping(node, "dataset")
-    _check_keys(node, {"generator", "csv", "split"}, "dataset")
-    block = DatasetBlock()
-    if "generator" in node and "csv" in node:
-        raise ConfigError("dataset: give either generator or csv, not both")
-    if "csv" in node:
-        block.csv = str(node["csv"])
-        if not Path(block.csv).exists():
-            raise ConfigError(f"dataset.csv: file not found: {block.csv}")
-    else:
-        gen = _require_mapping(node.get("generator", {}), "dataset.generator")
-        _check_keys(gen, {"classes", "dim", "per_class", "spread"}, "dataset.generator")
-        block.generator = GeneratorBlock(
-            classes=int(gen.get("classes", 4)),
-            dim=int(gen.get("dim", 2)),
-            per_class=int(gen.get("per_class", 150)),
-            spread=float(gen.get("spread", 0.6)),
-        )
-    split = _require_mapping(node.get("split", {}), "dataset.split")
-    _check_keys(split, {"holdout_fraction"}, "dataset.split")
-    block.holdout_fraction = float(split.get("holdout_fraction", 0.5))
-    return block
-
-
-def _parse_source(node) -> SourceBlock:
-    node = _require_mapping(node, "source")
-    _check_keys(node, {"model", "train"}, "source")
-    model = _require_mapping(node.get("model", {}), "source.model")
-    _check_keys(model, {"hidden_layers", "activation"}, "source.model")
-    train = _require_mapping(node.get("train", {}), "source.train")
-    _check_keys(
-        train,
-        {"epochs", "learning_rate", "momentum", "weight_decay", "batch_size"},
-        "source.train",
-    )
-    block = SourceBlock()
-    if "hidden_layers" in model:
-        block.hidden_layers = tuple(int(w) for w in model["hidden_layers"])
-    if "activation" in model:
-        if model["activation"] not in ACTIVATIONS:
-            raise ConfigError(f"source.model.activation: unknown {model['activation']!r}")
-        block.activation = model["activation"]
-    for key in ("epochs", "batch_size"):
-        if key in train:
-            setattr(block, key, int(train[key]))
-    for key in ("learning_rate", "momentum", "weight_decay"):
-        if key in train:
-            setattr(block, key, float(train[key]))
-    return block
-
-
-def _parse_ball(node) -> BallBlock:
-    node = _require_mapping(node, "ball")
-    _check_keys(
-        node, {"delta_mode", "delta", "tau", "sigma", "m", "n", "max_candidates", "alpha"}, "ball"
-    )
-    block = BallBlock()
-    if "delta_mode" in node:
-        if node["delta_mode"] not in DELTA_MODES:
-            raise ConfigError(f"ball.delta_mode must be one of {DELTA_MODES}")
-        block.delta_mode = node["delta_mode"]
-    for key in ("delta", "tau", "alpha"):
-        if key in node:
-            setattr(block, key, float(node[key]))
-    if node.get("sigma") is not None:
-        block.sigma = float(node["sigma"])
-    for key in ("m", "n", "max_candidates"):
-        if node.get(key) is not None:
-            setattr(block, key, int(node[key]))
-    return block
-
-
-def _parse_attack(node, index: int) -> AttackBlock:
-    ctx = f"attacks[{index}]"
-    node = _require_mapping(node, ctx)
-    _check_keys(node, ATTACK_KEYS, ctx)
-    if "kind" not in node:
-        raise ConfigError(f"{ctx}: missing kind")
-    block = AttackBlock(kind=str(node["kind"]))
-    if "gamma" in node:
-        block.gamma = float(node["gamma"])
-    if "prune_ratio" in node:
-        block.prune_ratio = float(node["prune_ratio"])
-    if "hidden_layers" in node:
-        block.hidden_layers = tuple(int(w) for w in node["hidden_layers"])
-    if "activation" in node:
-        block.activation = str(node["activation"])
-    for key in ("epochs", "batch_size"):
-        if key in node:
-            setattr(block, key, int(node[key]))
-    for key in ("learning_rate", "momentum", "weight_decay"):
-        if key in node:
-            setattr(block, key, float(node[key]))
-    return block
-
-
-def _parse_independents(node) -> IndependentsBlock:
-    node = _require_mapping(node, "independents")
-    _check_keys(node, {"count", "subset_fraction"}, "independents")
-    return IndependentsBlock(
-        count=int(node.get("count", 4)),
-        subset_fraction=float(node.get("subset_fraction", 0.5)),
-    )
+def _value(hint, value, ctx: str):
+    """`value` checked against the annotation `hint` (and built, for a dataclass)."""
+    if get_origin(hint) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _build(hint, value, ctx)
+    origin = get_origin(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+        return origin(_value(get_args(hint)[0], v, f"{ctx}[{i}]") for i, v in enumerate(value))
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{ctx}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def parse_config(tree: dict) -> ExperimentConfig:
-    tree = _require_mapping(tree, "config")
-    _check_keys(
-        tree,
-        {"seed", "output_dir", "dataset", "source", "ball", "attacks", "independents", "repeats"},
-        "config",
-    )
-    cfg = ExperimentConfig()
-    if "seed" in tree:
-        cfg.seed = int(tree["seed"])
-    if "output_dir" in tree:
-        cfg.output_dir = str(tree["output_dir"])
-    if "dataset" in tree:
-        cfg.dataset = _parse_dataset(tree["dataset"])
-    if "source" in tree:
-        cfg.source = _parse_source(tree["source"])
-    if "ball" in tree:
-        cfg.ball = _parse_ball(tree["ball"])
-    if "attacks" in tree:
-        if not isinstance(tree["attacks"], list):
-            raise ConfigError("attacks: expected a list")
-        cfg.attacks = [_parse_attack(a, i) for i, a in enumerate(tree["attacks"])]
-    if "independents" in tree:
-        cfg.independents = _parse_independents(tree["independents"])
-    if "repeats" in tree:
-        cfg.repeats = int(tree["repeats"])
-        if cfg.repeats < 0:
-            raise ConfigError("repeats must be >= 0")
-    return cfg
+    return _build(ExperimentConfig, tree, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -257,6 +202,4 @@ def load_config(path) -> ExperimentConfig:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    if tree is None:
-        tree = {}
-    return parse_config(tree)
+    return parse_config({} if tree is None else tree)

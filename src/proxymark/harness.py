@@ -12,8 +12,9 @@ This derivation is documented here and must stay stable across versions.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,15 @@ from .stats import (
     ownership_verdict,
     trigger_accuracy,
 )
-from .watermark import ProxyBall, VerifyConfig, relative_delta, save_trigger_set, verify_trigger_set
+from .watermark import (
+    ProxyBall,
+    TriggerSet,
+    VerifyConfig,
+    relative_delta,
+    save_trigger_set,
+    verify_trigger_set,
+    verify_trigger_set_integrity,
+)
 
 REPORT_HEADER = "role,attack,seed,clean_acc,trigger_acc,verdict"
 PLOTDATA_HEADER = "ratio,clean_acc,trigger_acc"
@@ -86,40 +95,24 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return make_blobs(gen.classes, gen.dim, gen.per_class, gen.spread, derive_seed(cfg.seed, 10))
 
 
-def source_spec(cfg: ExperimentConfig, data: Dataset) -> ModelSpec:
-    return ModelSpec(data.dim, cfg.source.hidden_layers, data.num_classes, cfg.source.activation)
-
-
-def source_train_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    s = cfg.source
-    return TrainConfig(s.epochs, s.learning_rate, s.momentum, s.weight_decay, s.batch_size, seed)
+def _given(block: AttackBlock) -> dict:
+    """The attack block's fields that are set, in field order."""
+    return {f.name: getattr(block, f.name) for f in fields(block) if getattr(block, f.name) is not None}
 
 
 def attack_config(
     block: AttackBlock, base_spec: ModelSpec, data: Dataset, base_train: TrainConfig, seed: int
 ) -> atk.AttackConfig:
-    spec = base_spec
-    if block.hidden_layers is not None or block.activation is not None:
-        spec = ModelSpec(
-            base_spec.input_dim,
-            block.hidden_layers if block.hidden_layers is not None else base_spec.hidden_layers,
-            base_spec.num_classes,
-            block.activation if block.activation is not None else base_spec.activation,
-        )
-    train_cfg = replace(
-        base_train,
-        seed=seed,
-        **{
-            k: getattr(block, k)
-            for k in ("epochs", "learning_rate", "momentum", "weight_decay", "batch_size")
-            if getattr(block, k) is not None
-        },
-    )
+    given = _given(block)
+
+    def overriding(base):
+        return replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
+
     return atk.AttackConfig(
         kind=block.kind,
-        surrogate_spec=spec,
+        surrogate_spec=overriding(base_spec),
         surrogate_data=data,
-        train=train_cfg,
+        train=replace(overriding(base_train), seed=seed),
         gamma=block.gamma,
         prune_ratio=block.prune_ratio,
     )
@@ -155,6 +148,57 @@ def make_ball(cfg: ExperimentConfig, source: Model, reference: Dataset) -> Proxy
     )
 
 
+# Pipeline stages, shared by run_experiment and the CLI commands. Each calls the
+# module-level names (train, split, verify_trigger_set, ...) so that a caller
+# who wraps one of them here sees every stage's call.
+
+
+@dataclass
+class Setup:
+    """What every stage starts from: the data, its split and the source model."""
+
+    data: Dataset
+    train_data: Dataset
+    holdout: Dataset
+    spec: ModelSpec
+    train_cfg: TrainConfig
+    source: Model
+
+
+def setup(cfg: ExperimentConfig) -> Setup:
+    """Build the dataset, split it, and train the source (seed tags 10, 11, 0)."""
+    data = build_dataset(cfg)
+    train_data, holdout = split(data, SplitSpec(cfg.dataset.holdout_fraction, derive_seed(cfg.seed, 11)))
+    c = cfg.source
+    spec = ModelSpec(data.dim, c.hidden_layers, data.num_classes, c.activation)
+    train_cfg = TrainConfig(c.epochs, c.learning_rate, c.momentum, c.weight_decay, c.batch_size,
+                            derive_seed(cfg.seed, 0))
+    return Setup(data, train_data, holdout, spec, train_cfg, train(spec, train_data, train_cfg))
+
+
+def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] | None = None) -> TriggerSet:
+    """The proxy-verified trigger set (seed tag 1); with complements, the
+    integrity-enhanced one."""
+    ball = make_ball(cfg, s.source, s.train_data)
+    vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
+    if complements is None:
+        return verify_trigger_set(s.holdout, s.source, ball, vcfg)
+    return verify_trigger_set_integrity(s.holdout, s.source, ball, complements, vcfg)
+
+
+def run_attacks(cfg: ExperimentConfig, s: Setup, ckpt_dir: Path):
+    """Run every configured attack `repeats` times (seed tags 2, ai, k), save
+    each surrogate as `surrogate_<kind>_<ai>_<k>.ckpt` and yield
+    (block, seed, checkpoint path, result)."""
+    for ai, block in enumerate(cfg.attacks):
+        for k in range(cfg.repeats):
+            seed = derive_seed(cfg.seed, 2, ai, k)
+            result = atk.run_attack(s.source, attack_config(block, s.spec, s.train_data, s.train_cfg, seed))
+            path = ckpt_dir / f"surrogate_{block.kind}_{ai}_{k}.ckpt"
+            save_checkpoint(result.surrogate, path)
+            yield block, seed, path, result
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) -> ExperimentReport:
     """Full pipeline: source, trigger set, attacks, independents, verdicts."""
     start = time.monotonic()
@@ -162,69 +206,44 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     ckpt_dir = outdir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    data = build_dataset(cfg)
-    train_data, holdout = split(data, SplitSpec(cfg.dataset.holdout_fraction, derive_seed(cfg.seed, 11)))
-    spec = source_spec(cfg, data)
-    base_train = source_train_config(cfg, derive_seed(cfg.seed, 0))
-    source = train(spec, train_data, base_train)
-    save_checkpoint(source, ckpt_dir / "source.ckpt")
+    s = setup(cfg)
+    save_checkpoint(s.source, ckpt_dir / "source.ckpt")
 
-    ball = make_ball(cfg, source, train_data)
-    vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    trigger_set = verify_trigger_set(holdout, source, ball, vcfg)
+    trigger_set = build_trigger_set(cfg, s)
     save_trigger_set(trigger_set, outdir / "trigger_set.json")
 
-    p_hat = clopper_pearson_lower(vcfg.m, vcfg.m, cfg.ball.alpha)
+    p_hat = clopper_pearson_lower(cfg.ball.m, cfg.ball.m, cfg.ball.alpha)
     bound = TransferabilityBound(p_hat, cfg.ball.alpha, lemma_bound(trigger_set.n, cfg.ball.alpha))
 
-    independents: list[Model] = []
+    independents: list[tuple[int, Model]] = []  # (seed, model)
     for k in range(cfg.independents.count):
-        g = train_independent(
-            spec, train_data, cfg.independents.subset_fraction, derive_seed(cfg.seed, 3, k),
-            train_cfg=base_train,
-        )
-        independents.append(g)
+        seed = derive_seed(cfg.seed, 3, k)
+        g = train_independent(s.spec, s.train_data, cfg.independents.subset_fraction, seed,
+                              train_cfg=s.train_cfg)
+        independents.append((seed, g))
         save_checkpoint(g, ckpt_dir / f"independent_{k}.ckpt")
 
     if independents:
-        baseline = float(np.mean([trigger_accuracy(trigger_set, g) for g in independents]))
+        baseline = float(np.mean([trigger_accuracy(trigger_set, g) for _, g in independents]))
         baseline_kind = "independent-models"
     else:
-        baseline = 1.0 / spec.num_classes
+        baseline = 1.0 / s.spec.num_classes
         baseline_kind = "chance"
 
-    def verdict_of(tacc: float) -> str:
-        if baseline >= p_hat:
-            return Verdict.INCONCLUSIVE.value
-        return ownership_verdict(tacc, baseline, p_hat)[0].value
+    def row(role: str, attack: str, seed: int, model: Model) -> ReportRow:
+        tacc = trigger_accuracy(trigger_set, model)
+        verdict = (Verdict.INCONCLUSIVE if baseline >= p_hat
+                   else ownership_verdict(tacc, baseline, p_hat)[0])
+        return ReportRow(role, attack, seed, accuracy(s.data, model), tacc, verdict.value)
 
-    rows = [
-        ReportRow(
-            "source", "-", base_train.seed, accuracy(data, source),
-            trigger_accuracy(trigger_set, source), verdict_of(trigger_accuracy(trigger_set, source)),
-        )
-    ]
+    rows = [row("source", "-", s.train_cfg.seed, s.source)]
     prune_curve: list[tuple[float, float, float]] = []
-    for ai, block in enumerate(cfg.attacks):
-        for k in range(cfg.repeats):
-            seed = derive_seed(cfg.seed, 2, ai, k)
-            acfg = attack_config(block, spec, train_data, base_train, seed)
-            result = atk.run_attack(source, acfg)
-            tacc = trigger_accuracy(trigger_set, result.surrogate)
-            clean = accuracy(data, result.surrogate)
-            rows.append(ReportRow("surrogate", block.kind, seed, clean, tacc, verdict_of(tacc)))
-            name = f"surrogate_{block.kind}_{ai}_{k}"
-            save_checkpoint(result.surrogate, ckpt_dir / f"{name}.ckpt")
-            _write_attack_manifest(ckpt_dir / f"{name}.json", block, result)
-            if block.kind == "prune":
-                prune_curve.append((block.prune_ratio, clean, tacc))
-
-    for k, g in enumerate(independents):
-        tacc = trigger_accuracy(trigger_set, g)
-        rows.append(
-            ReportRow("independent", "-", derive_seed(cfg.seed, 3, k), accuracy(data, g), tacc,
-                      verdict_of(tacc))
-        )
+    for block, seed, path, result in run_attacks(cfg, s, ckpt_dir):
+        rows.append(row("surrogate", block.kind, seed, result.surrogate))
+        _write_attack_manifest(path.with_suffix(".json"), block, result)
+        if block.kind == "prune":
+            prune_curve.append((block.prune_ratio, rows[-1].clean_acc, rows[-1].trigger_acc))
+    rows += [row("independent", "-", seed, g) for seed, g in independents]
 
     report = ExperimentReport(
         rows=rows,
@@ -244,16 +263,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
 
 
 def _write_attack_manifest(path: Path, block: AttackBlock, result: atk.AttackResult) -> None:
-    import json
-
     manifest = {
         "kind": block.kind,
-        "hyperparameters": {
-            k: getattr(block, k)
-            for k in ("gamma", "prune_ratio", "epochs", "learning_rate", "momentum",
-                      "weight_decay", "batch_size")
-            if getattr(block, k) is not None
-        },
+        "hyperparameters": {k: v for k, v in _given(block).items() if k != "kind"},
         "seed": result.attack_seed,
         "clean_accuracy": result.clean_accuracy,
     }

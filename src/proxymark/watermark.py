@@ -422,14 +422,20 @@ def load_trigger_set(path) -> TriggerSet:
         n, dim, name, records, source_fp = (
             manifest[key] for key in ("n", "dim", "blob", "samples", "source_fingerprint")
         )
-        y_star = [rec["y_star"] - 1 for rec in records]  # 1-based on disk
-        parents = [(rec["parent_a"], rec["parent_b"]) for rec in records]
+        y_star = np.asarray([rec["y_star"] for rec in records])  # 1-based on disk
+        parents = np.asarray([(rec["parent_a"], rec["parent_b"]) for rec in records])
         lam = [float(rec["lambda"]) for rec in records]
     except (KeyError, TypeError, ValueError) as exc:
         raise TriggerSetFormatError(
             f"{path}: malformed manifest ({type(exc).__name__}: {exc})"
         ) from exc
-    if min(y_star, default=0) < 0:
+    # a float, string, bool or integer beyond int64 in the records gives another dtype kind
+    if {type(n), type(dim)} != {int} or (records and {y_star.dtype.kind, parents.dtype.kind} != {"i"}):
+        raise TriggerSetFormatError(f"{path}: n, dim, parent_a, parent_b and y_star must be integers")
+    ball, seeds = manifest.get("ball", {}), manifest.get("seeds", {})
+    if not (isinstance(ball, dict) and isinstance(seeds, dict)):
+        raise TriggerSetFormatError(f"{path}: ball and seeds must be JSON objects")
+    if np.any(y_star < 1):
         raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
         raise TriggerSetFormatError(f"{path}: blob {name!r} is not a bare file name")
@@ -445,10 +451,10 @@ def load_trigger_set(path) -> TriggerSet:
         raise TriggerSetFormatError(f"{path}: {len(records)} sample records for n={n}")
     return TriggerSet(
         np.frombuffer(blob, dtype="<f8").reshape(n, dim).astype(np.float64),
-        y_star,
+        y_star - 1,
         parents,
         lam,
         source_fp,
-        ball_params=manifest.get("ball", {}),
-        seed=manifest.get("seeds", {}).get("verify_seed"),
+        ball_params=ball,
+        seed=seeds.get("verify_seed"),
     )

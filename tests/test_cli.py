@@ -1,6 +1,9 @@
 """End-to-end CLI behavior and exit codes."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,38 @@ class TestExitCodes:
         bad.write_text("sede: 1\n")
         assert main(["train", "--config", str(bad)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed: 9", "seed: abc"),
+            ("epochs: 50", "epochs: many"),
+            ("delta: 0.05", "delta: null"),
+            ("hidden_layers: [16]", "hidden_layers: 16"),
+            ("repeats: 1", "repeats: x"),
+            ("kind: soft_label", "kind: distill"),
+            ("kind: soft_label", "kind: soft_label, activation: gelu"),
+        ],
+    )
+    def test_bad_config_value_is_2(self, config_file, capsys, old, new):
+        path, out = config_file
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))  # rejected at load, before any training
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("repeats: 1", "repeats: 0"), ("attacks:\n  - {kind: soft_label}", "attacks: []")],
+        ids=["no-repeats", "no-attacks"],
+    )
+    def test_attack_with_nothing_to_run_is_2(self, config_file, capsys, old, new):
+        path, _ = config_file
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
+        assert "no attacks configured" in capsys.readouterr().err
 
     def test_experiment_error_is_3(self, config_file, capsys):
         path, _ = config_file
@@ -127,6 +162,28 @@ class TestSubcommands:
         assert (out / "report.csv").exists()
         assert "baseline" in capsys.readouterr().out
 
+    def test_train_without_config_uses_defaults(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "source.ckpt").exists()
+
+    def test_commands_write_what_run_writes(self, config_file, tmp_path):
+        # the step-by-step commands and `run` share one pipeline, so their
+        # files are byte-equal
+        path, _ = config_file
+        outs = {c: tmp_path / c for c in ("run", "train", "watermark", "attack")}
+        for command, out in outs.items():
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        run, ckpts = outs["run"], outs["run"] / "checkpoints"
+        for out in (outs["train"], outs["watermark"]):
+            assert (out / "source.ckpt").read_bytes() == (ckpts / "source.ckpt").read_bytes()
+        for name in ("trigger_set.json", "trigger_set.bin"):
+            assert (outs["watermark"] / name).read_bytes() == (run / name).read_bytes()
+        surrogates = sorted(p.name for p in ckpts.glob("surrogate_*.ckpt"))
+        assert surrogates == sorted(p.name for p in outs["attack"].glob("*.ckpt"))
+        assert surrogates == ["surrogate_soft_label_0_0.ckpt"]
+        for name in surrogates:
+            assert (outs["attack"] / name).read_bytes() == (ckpts / name).read_bytes()
+
     def test_seed_and_out_overrides(self, config_file, tmp_path):
         path, _ = config_file
         alt = tmp_path / "alt"
@@ -155,3 +212,20 @@ class TestSubcommands:
         assert ckpt != (seeded / "source.ckpt").read_bytes()
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "again")]) == EXIT_OK
         assert (tmp_path / "again" / "source.ckpt").read_bytes() == ckpt
+
+
+class TestBenchmarkHooks:
+    def test_every_traced_name_resolves(self):
+        # the benchmark's traced run wraps these names and exits 1 if one is gone
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = [
+            f"proxymark{'.' + home if home else ''}.{attr}"
+            for _, attr, homes, _ in spans.HOOKS
+            for home in homes
+            if not hasattr(importlib.import_module("proxymark" + (f".{home}" if home else "")), attr)
+        ]
+        assert missing == []
+        assert {"run", "verify"} <= set(cli.COMMANDS)

@@ -84,6 +84,59 @@ class TestConfigParsing:
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.ball.m == 16
 
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"seed": "abc"}, "seed: expected int"),
+            ({"source": {"train": {"epochs": "many"}}}, "source.train.epochs: expected int"),
+            ({"ball": {"delta": None}}, "ball.delta: expected float"),
+            ({"ball": {"m": None}}, "ball.m: expected int"),
+            ({"ball": {"n": None}}, "ball.n: expected int"),
+            ({"source": {"model": {"hidden_layers": 16}}}, "hidden_layers: expected a list"),
+            ({"source": {"model": {"hidden_layers": [16, "x"]}}}, r"hidden_layers\[1\]"),
+            ({"repeats": "x"}, "repeats: expected int"),
+            ({"seed": True}, "seed: expected int"),
+            ({"attacks": [{"kind": "distill"}]}, "unknown 'distill'"),
+            ({"attacks": [{"kind": "finetune", "activation": "gelu"}]}, "unknown 'gelu'"),
+            ({"source": {"model": {"activation": "gelu"}}}, "unknown 'gelu'"),
+            ({"attacks": [{"gamma": 0.5}]}, r"attacks\[0\]: missing kind"),
+            ({"attacks": {"kind": "prune"}}, "attacks: expected a list"),
+            ({"dataset": {"generator": None}}, "give a generator or a csv"),
+            ({"dataset": {"split": [0.5]}}, "dataset.split: expected a mapping"),
+            ({"repeats": -1}, "repeats must be >= 0"),
+        ],
+    )
+    def test_bad_value_rejected(self, tree, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(tree)
+
+    def test_null_only_for_optional_fields(self):
+        cfg = parse_config({
+            "ball": {"sigma": None, "max_candidates": None, "tau": 1},
+            "attacks": [{"kind": "prune", "prune_ratio": 0.5, "epochs": None}],
+        })
+        assert cfg.ball.sigma is None and cfg.ball.max_candidates is None
+        assert cfg.ball.tau == 1.0 and isinstance(cfg.ball.tau, float)
+        assert cfg.attacks[0].epochs is None
+
+    def test_no_dataset_block_uses_default_generator(self):
+        from proxymark.config import GeneratorBlock
+        from proxymark.harness import build_dataset
+
+        implicit = build_dataset(parse_config({"seed": 1}))
+        defaults = vars(GeneratorBlock())
+        explicit = build_dataset(parse_config({"seed": 1, "dataset": {"generator": defaults}}))
+        assert np.array_equal(implicit.features, explicit.features)
+        assert np.array_equal(implicit.labels, explicit.labels)
+        assert implicit.num_classes == GeneratorBlock().classes
+
+    def test_csv_replaces_default_generator(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        pm.save_csv(pm.make_blobs(4, 2, 5, 0.5, seed=0), csv_path)
+        assert parse_config({"dataset": {"csv": str(csv_path)}}).dataset.generator is None
+        with pytest.raises(ConfigError, match="not both"):
+            parse_config({"dataset": {"csv": str(csv_path), "generator": {"classes": 5}}})
+
     def test_csv_dataset_accepted(self, tmp_path):
         data = pm.make_blobs(4, 2, 5, 0.5, seed=0)
         csv_path = tmp_path / "data.csv"

@@ -363,6 +363,12 @@ class TestSerialization:
             (lambda man: man.update(blob="missing.bin"), "cannot read blob"),
             (lambda man: [man], "not a JSON object"),
             (lambda man: man["samples"][1].update(y_star=0), "below 1"),
+            (lambda man: man.update(seeds=[]), "must be JSON objects"),
+            (lambda man: man.update(ball=[]), "must be JSON objects"),
+            (lambda man: man["samples"][1].update(y_star=2.5), "must be integers"),
+            (lambda man: man["samples"][1].update(parent_a="7"), "must be integers"),
+            (lambda man: man.update(n=str(man["n"])), "must be integers"),
+            (lambda man: man["samples"][1].update(parent_b=2**70), "must be integers"),
         ]
         + [
             (lambda man, key=key: man["samples"][1].pop(key), f"KeyError: '{key}'")
