@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import AttackFailedError, InputError
-from .nn import Model, ModelSpec, TrainConfig, accuracy, fit, forward, predict, unpack
-from .errors import TrainingDivergedError
+from .errors import AttackFailedError, InputError, TrainingDivergedError
+from .nn import Model, ModelSpec, TrainConfig, _forward_cached, accuracy, fit, forward, predict, unpack
 
 ATTACK_KINDS = ("soft_label", "hard_label", "rgt", "prune", "finetune")
 
@@ -121,8 +120,6 @@ def steal_rgt(f: Model, cfg: AttackConfig) -> AttackResult:
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     """Mean absolute post-activation per hidden neuron over the calibration set."""
-    from .nn import _forward_cached  # reuse the cached pass
-
     _, _, post = _forward_cached(f, calibration.features)
     # post[0] is the input; post[1:] are hidden activations
     return [np.mean(np.abs(a), axis=0) for a in post[1:]]

@@ -7,6 +7,8 @@ numpy.random.SeedSequence([base_seed, *tags]); the tag layout is fixed:
     (2, ai, k)      run k of attack ai
     (3, k)          independent model k
     (4,)            complement model for integrity runs
+    (10,)           blob generation (build_dataset)
+    (11,)           hold-out split (setup)
 This derivation is documented here and must stay stable across versions.
 """
 

@@ -10,8 +10,12 @@ from proxymark.errors import (
     CheckpointFormatError,
     InputError,
     SpecMismatchError,
+    TrainingDivergedError,
 )
 from proxymark.nn import (
+    PROB_FLOOR,
+    Model,
+    _check_features,
     checkpoint_bytes,
     fingerprint,
     fit,
@@ -257,6 +261,30 @@ class TestFit:
                 gamma=0.5,
             )
 
+    def test_teacher_probs_may_be_nested_lists(self, blob_split, small_spec):
+        train_data, _ = blob_split
+        teacher = np.full((train_data.n, 4), 0.25)
+        cfg = pm.TrainConfig(epochs=2)
+        want, _ = fit(small_spec, train_data.features, None, cfg, teacher_probs=teacher, gamma=1.0)
+        got, _ = fit(small_spec, train_data.features, None, cfg, teacher_probs=teacher.tolist(),
+                     gamma=1.0)
+        assert got.theta.tobytes() == want.theta.tobytes()
+
+    @pytest.mark.parametrize("gamma", [float("nan"), 1.5, -0.5])
+    def test_gamma_outside_unit_interval_rejected(self, blob_split, small_spec, gamma):
+        train_data, _ = blob_split
+        teacher = np.full((train_data.n, 4), 0.25)
+        with pytest.raises(InputError, match="gamma"):
+            fit(small_spec, train_data.features, train_data.labels, pm.TrainConfig(epochs=1),
+                teacher_probs=teacher, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_gamma_without_teacher_rejected(self, blob_split, small_spec, gamma):
+        train_data, _ = blob_split
+        with pytest.raises(InputError, match="teacher_probs"):
+            fit(small_spec, train_data.features, train_data.labels, pm.TrainConfig(epochs=1),
+                gamma=gamma)
+
     def test_accuracy_on_separable_blobs(self, blob_data, trained_source):
         assert pm.accuracy(blob_data, trained_source) > 0.9
 
@@ -269,6 +297,221 @@ class TestFit:
             pm.TrainConfig(batch_size=0)
         with pytest.raises(InputError):
             pm.TrainConfig(epochs=-1)
+
+
+# Reference: the fit loop as it stood before the in-place step kernel,
+# copied verbatim with the helpers it called. TestFitEquivalence requires
+# today's fit to reproduce it bit for bit.
+
+
+def _ref_activate(z, kind):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+def _ref_activate_grad(z, kind):
+    if kind == "relu":
+        return (z > 0).astype(np.float64)
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def _ref_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_forward_cached(model, x):
+    layers = unpack(model.spec, model.theta)
+    act = model.spec.activation
+    a = x
+    pre, post = [], [x]
+    for w, b in layers[:-1]:
+        z = a @ w + b
+        a = _ref_activate(z, act)
+        pre.append(z)
+        post.append(a)
+    w, b = layers[-1]
+    logits = a @ w + b
+    return _ref_softmax(logits), pre, post
+
+
+def _ref_batch_ce_loss_grad(probs, labels):
+    n = probs.shape[0]
+    picked = np.clip(probs[np.arange(n), labels], PROB_FLOOR, 1.0)
+    loss = float(-np.log(picked).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    return loss, dlogits / n
+
+
+def _ref_batch_kl_loss_grad(probs, targets):
+    n = probs.shape[0]
+    pc = np.clip(probs, PROB_FLOOR, 1.0)
+    mask = targets > 0
+    terms = np.where(mask, targets * (np.log(np.clip(targets, PROB_FLOOR, 1.0)) - np.log(pc)), 0.0)
+    loss = float(terms.sum() / n)
+    return loss, (probs - targets) / n
+
+
+def _ref_fit(spec, features, labels, cfg, *, teacher_probs=None, gamma=0.0, init=None):
+    x, _ = _check_features(spec, features)
+    n = x.shape[0]
+    if n == 0:
+        raise InputError("training data must be non-empty")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise InputError(f"{labels.size} labels for {n} feature rows")
+        if labels.min() < 0 or labels.max() >= spec.num_classes:
+            raise InputError("label out of range")
+    if teacher_probs is not None and np.shape(teacher_probs) != (n, spec.num_classes):
+        raise InputError(
+            f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs)}"
+        )
+    if cfg.batch_size > n:
+        batch_size = n
+    else:
+        batch_size = cfg.batch_size
+
+    rng = np.random.default_rng(cfg.seed)
+    theta = init_theta(spec, rng) if init is None else np.array(init, dtype=np.float64)
+    velocity = np.zeros_like(theta)
+    model = Model(spec, theta)
+    history = []
+
+    use_kl = teacher_probs is not None and gamma > 0.0
+    use_ce = teacher_probs is None or gamma < 1.0
+    if use_ce and labels is None:
+        raise InputError("labels are required unless gamma=1 with teacher targets")
+
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            xb = x[idx]
+            probs, pre, post = _ref_forward_cached(model, xb)
+            loss = 0.0
+            dlogits = np.zeros_like(probs)
+            if use_kl:
+                kl_loss, kl_d = _ref_batch_kl_loss_grad(probs, teacher_probs[idx])
+                if gamma == 1.0:
+                    loss, dlogits = kl_loss, kl_d
+                else:
+                    loss += gamma * kl_loss
+                    dlogits += gamma * kl_d
+            if use_ce:
+                ce_loss, ce_d = _ref_batch_ce_loss_grad(probs, labels[idx])
+                if not use_kl:
+                    loss, dlogits = ce_loss, ce_d
+                else:
+                    loss += (1.0 - gamma) * ce_loss
+                    dlogits += (1.0 - gamma) * ce_d
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"loss became {loss}")
+            grad = _ref_backprop_cached(model, pre, post, dlogits)
+            if cfg.weight_decay:
+                theta *= 1.0 - cfg.weight_decay
+            velocity *= cfg.momentum
+            velocity += grad
+            theta -= cfg.learning_rate * velocity
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
+
+
+def _ref_backprop_cached(model, pre, post, dlogits):
+    spec = model.spec
+    layers = unpack(spec, model.theta)
+    grad = np.zeros_like(model.theta)
+    glayers = unpack(spec, grad)
+    delta = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = glayers[i]
+        gw[...] = post[i].T @ delta
+        gb[...] = delta.sum(axis=0)
+        if i > 0:
+            w, _ = layers[i]
+            delta = (delta @ w.T) * _ref_activate_grad(pre[i - 1], spec.activation)
+    return grad
+
+
+class TestFitEquivalence:
+    """fit trains the same models as the reference loop: same theta bytes and
+    the same loss history bits, on every loss path."""
+
+    N = 50  # with batch 16: three full batches and a ragged batch of 2
+
+    @staticmethod
+    def _data(num_classes, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(TestFitEquivalence.N, 3))
+        labels = rng.integers(0, num_classes, size=TestFitEquivalence.N)
+        teacher = rng.dirichlet(np.ones(num_classes), size=TestFitEquivalence.N)
+        teacher[::3, 0] = 0.0  # exact zeros take the 0 * log 0 branch of the KL
+        teacher[1::3, 1] = 1e-14  # below PROB_FLOOR, so the clip inside the log acts
+        teacher /= teacher.sum(axis=1, keepdims=True)
+        return x, labels, teacher
+
+    @staticmethod
+    def _same(spec, x, labels, cfg, **kwargs):
+        want_model, want_hist = _ref_fit(spec, x, labels, cfg, **kwargs)
+        got_model, got_hist = fit(spec, x, labels, cfg, **kwargs)
+        assert got_model.theta.tobytes() == want_model.theta.tobytes()
+        assert np.array(got_hist).tobytes() == np.array(want_hist).tobytes()
+
+    @pytest.mark.parametrize("num_classes", [3, 4, 10])
+    @pytest.mark.parametrize("hidden", [(), (8,), (32, 32), (64, 64)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bitwise_equal_to_reference(self, activation, hidden, num_classes):
+        spec = pm.ModelSpec(3, hidden, num_classes, activation)
+        x, labels, teacher = self._data(num_classes, len(hidden) * 10 + num_classes)
+        for batch_size in (2048, 16):
+            cfg = pm.TrainConfig(epochs=4, learning_rate=0.1, batch_size=batch_size, seed=1)
+            self._same(spec, x, labels, cfg)
+            self._same(spec, x, None, cfg, teacher_probs=teacher, gamma=1.0)
+            # 0.5 scales exactly; 0.3 also exposes the rounding order of the mix
+            for gamma in (0.5, 0.3):
+                self._same(spec, x, labels, cfg, teacher_probs=teacher, gamma=gamma)
+            self._same(spec, x, labels, cfg, teacher_probs=teacher, gamma=0.0)
+            # finetune: a given starting point, no momentum, no decay
+            start = init_theta(spec, np.random.default_rng(2))
+            plain = pm.TrainConfig(epochs=4, learning_rate=0.1, momentum=0.0,
+                                   weight_decay=0.0, batch_size=batch_size, seed=3)
+            self._same(spec, x, labels, plain, init=start)
+
+    def test_saturated_model_reports_zero_loss(self):
+        # logit gaps of 100 put probability exactly 1.0 on every label, so the
+        # batch loss is -0.0; np.mean over the epoch's batches reads +0.0
+        spec = pm.ModelSpec(3, (), 3)
+        labels = np.arange(30) % 3
+        x = 100.0 * np.eye(3)[labels]
+        start = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
+        for batch_size in (2048, 8):
+            cfg = pm.TrainConfig(epochs=2, batch_size=batch_size, seed=0)
+            self._same(spec, x, labels, cfg, init=start)
+
+    def test_divergence_raises_at_the_same_epoch(self):
+        spec = pm.ModelSpec(3, (8, 8), 4)
+        x, labels, _ = self._data(4, 0)
+        for epochs in range(1, 20):
+            cfg = pm.TrainConfig(epochs=epochs, learning_rate=1e200, seed=1)
+            with np.errstate(all="ignore"):
+                try:
+                    _ref_fit(spec, x, labels, cfg)
+                except TrainingDivergedError as exc:
+                    want = str(exc)
+                    break
+                fit(spec, x, labels, cfg)  # must not raise where the reference does not
+        else:
+            pytest.fail("the reference never diverged")
+        assert epochs > 1
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as caught:
+            fit(spec, x, labels, cfg)
+        assert str(caught.value) == want
 
 
 class TestCheckpoint:
