@@ -116,6 +116,10 @@ class IndependentsBlock:
     count: int = 4
     subset_fraction: float = 0.5
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError("independents.count must be >= 0")
+
 
 @dataclass
 class ExperimentConfig:

@@ -3,7 +3,8 @@
 Stage seeds are derived from the single experiment seed via
 numpy.random.SeedSequence([base_seed, *tags]); the tag layout is fixed:
     (0,)            source training
-    (1,)            trigger verification (proxies + candidate stream)
+    (1,)            trigger verification: with s its derived seed, proxy i
+                    draws from [s, 1, i] and the candidate stream from [s, 2]
     (2, ai, k)      run k of attack ai
     (3, k)          independent model k
     (4,)            complement model for integrity runs

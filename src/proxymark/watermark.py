@@ -29,6 +29,8 @@ _REJECTION_CAP = 1000  # consecutive proxy rejections under tau < 1
 # Block sizes trade speed for peak memory: a stacked pass holds a few
 # (m, rows, width) float64 arrays. At m=64, n=200, blocks of 256 draws and
 # 1024 proxy-rows built a set 10-15% faster but raised peak RSS by 0.5-1 MB.
+# A block's pairs and weights come from one numpy call each, so a trigger set
+# depends on the seed and on _DRAW_BLOCK: changing it changes every set.
 _DRAW_BLOCK = 64  # pair draws the source labels in one batched forward pass
 _STACK_ROWS = 128  # proxy-rows (m x candidates) per stacked pass
 
@@ -136,67 +138,6 @@ def _check_holdout(holdout: Dataset) -> None:
         raise NoCandidateFoundError("hold-out set contains fewer than 2 distinct classes")
 
 
-def _pair_draws(labels, rng: np.random.Generator, k: int) -> list[tuple[int, int, float] | None]:
-    """k pair draws: (a, b, lam) when the parents' classes differ, else None.
-
-    A draw takes from the generator exactly what ``rng.integers(0, n, size=2)``
-    and then, when the classes differ, ``rng.uniform(LAMBDA_MARGIN,
-    1 - LAMBDA_MARGIN)`` would take (n = len(labels)), and gives the same
-    values, rebuilt from raw PCG64 words in one Python loop:
-
-    - a bounded integer is Lemire's method on a 32-bit value u, the low half
-      of a fresh word or else the high half buffered from the last one: it is
-      (u * n) >> 32, redrawn while (u * n) mod 2^32 < (2^32 - n) mod n;
-    - lam is lo + (hi - lo) * (top 53 bits of a fresh word) * 2^-53, and the
-      buffered half is left alone.
-
-    Words are read ahead; afterwards the state is restored, advanced by the
-    words used, and given the buffered half, as numpy leaves it.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise InputError(f"pair draws need a PCG64 generator, not {type(bits).__name__}")
-    n = len(labels)  # numpy takes this 32-bit path for n <= 2^32
-    saved = bits.state
-    has_half, half = saved["has_uint32"], saved["uinteger"]  # numpy's 32-bit buffer
-
-    def fresh():
-        while True:
-            yield from bits.random_raw(2 * k).tolist()
-
-    words = fresh()
-    used = 0
-    threshold = (2**32 - n) % n
-    lo, span = LAMBDA_MARGIN, (1.0 - LAMBDA_MARGIN) - LAMBDA_MARGIN
-    draws = []
-    pair = [0, 0]
-    for _ in range(k):
-        for i in (0, 1):
-            while True:
-                if has_half:
-                    u, has_half = half, 0
-                else:
-                    w = next(words)
-                    used += 1
-                    u, half, has_half = w & 0xFFFFFFFF, w >> 32, 1
-                m = u * n
-                if m & 0xFFFFFFFF >= threshold:
-                    break
-            pair[i] = m >> 32
-        a, b = pair
-        if labels[a] == labels[b]:
-            draws.append(None)
-        else:
-            used += 1
-            draws.append((a, b, lo + span * ((next(words) >> 11) * 2.0**-53)))
-    bits.state = saved
-    bits.advance(used)
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bits.state = state
-    return draws
-
-
 def _mix(holdout: Dataset, parents: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Row-wise lam * x_a + (1 - lam) * x_b; equal bit for bit to the scalar form."""
     lam = lam[:, None]
@@ -209,16 +150,16 @@ def trigger_candidate(
     """One accepted mixture sample as a one-sample set, or
     NoCandidateFoundError after the cap."""
     _check_holdout(holdout)
-    labels = holdout.labels.tolist()
     for _ in range(max_attempts):
-        [draw] = _pair_draws(labels, rng, 1)
-        if draw is None:
+        pair = rng.integers(0, holdout.n, size=2)
+        ya, yb = holdout.labels[pair]
+        if ya == yb:
             continue
-        a, b, lam = draw
-        x_star = _mix(holdout, np.array([[a, b]]), np.array([lam]))
+        lam = rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN)
+        x_star = _mix(holdout, pair[None], np.array([lam]))
         y_star = predict(model, x_star)
-        if y_star[0] != holdout.labels[a] and y_star[0] != holdout.labels[b]:
-            return TriggerSet(x_star, y_star, [(a, b)], [lam], fingerprint(model))
+        if y_star[0] != ya and y_star[0] != yb:
+            return TriggerSet(x_star, y_star, pair[None], [lam], fingerprint(model))
     raise NoCandidateFoundError(
         f"no third-class mixture found in {max_attempts} pair draws"
     )
@@ -266,12 +207,6 @@ def _stack(ball: ProxyBall, cfg: VerifyConfig) -> np.ndarray:
     return thetas
 
 
-def _pairs(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Parent pairs (k, 2) and mixing weights (k,) of (a, b, lam, ...) tuples."""
-    parents = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
-    return parents, np.array([r[2] for r in rows], dtype=np.float64)
-
-
 def _collect(
     holdout: Dataset,
     model: Model,
@@ -279,56 +214,57 @@ def _collect(
     cfg: VerifyConfig,
     complements: list[Model] = (),
 ) -> TriggerSet:
-    """Draw, label and judge candidates a block of pair draws at a time.
+    """Draw, label and judge candidates a block of _DRAW_BLOCK draws at a time.
 
-    Pairs are drawn in trigger_candidate's generator order. The source labels
-    a block in one forward pass; the proxies, stacked into one (m, P) block
-    of parameters, judge its third-class candidates in stacked passes of at
-    most _STACK_ROWS proxy-rows, then each complement judges those the
-    proxies kept. Outcomes are consumed in draw order, so the set,
-    candidates_consumed and both caps match a one-candidate-at-a-time loop.
+    A block is one rng.integers call for the parent pairs, then one
+    rng.uniform call for the mixing weights. The source labels the block's
+    mixtures in one forward pass, and a draw is a candidate when its parents'
+    classes differ and the label is a third class. The proxies, stacked into
+    one (m, P) block of parameters, judge the candidates in stacked passes of
+    at most _STACK_ROWS proxy-rows, then each complement judges those the
+    proxies kept. Outcomes are consumed in draw order: the build stops at n
+    accepted or max_candidates consumed, and fails after 10 * max_candidates
+    draws in a row that are not candidates.
     """
     _check_holdout(holdout)
     rng = np.random.default_rng([cfg.seed, 2])
     step = max(1, _STACK_ROWS // len(thetas))  # candidates per stacked pass
+    cap = 10 * cfg.max_candidates
     stats = VerifyStats()
-    kept: list[tuple[int, int, float, int]] = []  # accepted (a, b, lam, y*) in draw order
-    misses = 0  # pair draws since the last third-class mixture
-    labels = holdout.labels.tolist()
-    while len(kept) < cfg.n and stats.candidates_consumed < cfg.max_candidates:
-        draws = _pair_draws(labels, rng, _DRAW_BLOCK)
-        parents, lam = _pairs([d for d in draws if d is not None])
-        xs = _mix(holdout, parents, lam)
+    kept = []  # (x*, y*, parents, lam) of each block's accepted draws
+    misses = 0  # draws since the last candidate
+    while stats.accepted < cfg.n and stats.candidates_consumed < cfg.max_candidates:
+        pairs = rng.integers(0, holdout.n, size=(_DRAW_BLOCK, 2))
+        lam = rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN, size=_DRAW_BLOCK)
+        la, lb = holdout.labels[pairs.T]
+        xs = _mix(holdout, pairs, lam)
         ys = predict(model, xs)
-        third = (ys != holdout.labels[parents[:, 0]]) & (ys != holdout.labels[parents[:, 1]])
-        ok = third.copy()
-        candidates = np.flatnonzero(third)
-        for start in range(0, candidates.size, step):
-            rows = candidates[start : start + step]
+        third = np.flatnonzero((la != lb) & (ys != la) & (ys != lb))
+        ok = np.ones(third.size, dtype=bool)
+        for start in range(0, third.size, step):
+            rows = third[start : start + step]
             preds = np.argmax(stacked_forward(model.spec, thetas, xs[rows]), axis=-1)
-            ok[rows] = np.all(preds == ys[rows], axis=0)
+            ok[start : start + step] = np.all(preds == ys[rows], axis=0)
         for comp in complements:
-            ok[ok] = predict(comp, xs[ok]) != ys[ok]
-        verdicts = zip(third.tolist(), ok.tolist(), ys.tolist())  # one per mixture
-        for draw in draws:
-            is_third, accept, y = next(verdicts) if draw is not None else (False, False, -1)
-            if not is_third:
-                misses += 1
-                if misses >= 10 * cfg.max_candidates:
-                    raise NoCandidateFoundError(
-                        f"no third-class mixture found in {misses} pair draws"
-                    )
-                continue
-            misses = 0
-            stats.candidates_consumed += 1
-            if accept:
-                kept.append((*draw, y))
-            if len(kept) == cfg.n or stats.candidates_consumed >= cfg.max_candidates:
-                break
-    stats.accepted = len(kept)
-    parents, lam = _pairs(kept)
-    ts = TriggerSet(_mix(holdout, parents, lam), [k[3] for k in kept], parents, lam,
-                    fingerprint(model), seed=cfg.seed, stats=stats)
+            ok[ok] = predict(comp, xs[third[ok]]) != ys[third[ok]]
+        # misses before each candidate, then after the last one
+        gaps = np.diff(third, prepend=-1, append=_DRAW_BLOCK) - 1
+        gaps[0] += misses
+        take = min(  # candidates consumed: up to the n-th acceptance or the budget
+            third.size,
+            cfg.max_candidates - stats.candidates_consumed,
+            int(np.searchsorted(np.cumsum(ok), cfg.n - stats.accepted)) + 1,
+        )
+        stats.candidates_consumed += take
+        stats.accepted += int(np.count_nonzero(ok[:take]))
+        done = stats.accepted == cfg.n or stats.candidates_consumed == cfg.max_candidates
+        if np.any(gaps[:take] >= cap) or (not done and gaps[-1] >= cap):
+            raise NoCandidateFoundError(f"no third-class mixture found in {cap} pair draws")
+        misses = int(gaps[-1])
+        rows = third[:take][ok[:take]]
+        kept.append((xs[rows], ys[rows], pairs[rows], lam[rows]))
+    ts = TriggerSet(*(np.concatenate(col) for col in zip(*kept)), fingerprint(model),
+                    seed=cfg.seed, stats=stats)
     if ts.n < cfg.n:
         raise InsufficientTransferabilityError(
             f"consumed {cfg.max_candidates} candidates, accepted only {ts.n} "
@@ -432,9 +368,13 @@ def load_trigger_set(path) -> TriggerSet:
     # a float, string, bool or integer beyond int64 in the records gives another dtype kind
     if {type(n), type(dim)} != {int} or (records and {y_star.dtype.kind, parents.dtype.kind} != {"i"}):
         raise TriggerSetFormatError(f"{path}: n, dim, parent_a, parent_b and y_star must be integers")
+    if n < 0 or dim < 0:
+        raise TriggerSetFormatError(f"{path}: n={n} and dim={dim} must be >= 0")
     ball, seeds = manifest.get("ball", {}), manifest.get("seeds", {})
     if not (isinstance(ball, dict) and isinstance(seeds, dict)):
         raise TriggerSetFormatError(f"{path}: ball and seeds must be JSON objects")
+    if "m" in ball and not (type(ball["m"]) is int and ball["m"] >= 1):
+        raise TriggerSetFormatError(f"{path}: ball.m must be a positive integer, not {ball['m']!r}")
     if np.any(y_star < 1):
         raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:

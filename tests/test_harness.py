@@ -104,6 +104,7 @@ class TestConfigParsing:
             ({"dataset": {"generator": None}}, "give a generator or a csv"),
             ({"dataset": {"split": [0.5]}}, "dataset.split: expected a mapping"),
             ({"repeats": -1}, "repeats must be >= 0"),
+            ({"independents": {"count": -2}}, "independents.count must be >= 0"),
         ],
     )
     def test_bad_value_rejected(self, tree, message):

@@ -21,7 +21,7 @@ from proxymark.watermark import (
     TriggerSet,
     VerifyConfig,
     VerifyStats,
-    _pair_draws,
+    _DRAW_BLOCK,
     build_proxies,
     relative_delta,
 )
@@ -73,63 +73,14 @@ class TestTriggerCandidate:
             with pytest.raises(InputError):
                 TriggerSet(np.zeros((1, 2)), [0], [(0, 1)], [lam], "deadbeef")
 
-    def test_non_pcg64_generator_rejected(self, pipeline):
-        # the pair draws reproduce numpy's stream from raw PCG64 words only
+    def test_any_generator(self, pipeline):
+        # the draws are plain numpy calls, so any bit generator will do
         _, _, holdout, source = pipeline
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(InputError, match="PCG64"):
-            pm.trigger_candidate(holdout, source, rng)
-
-
-class IndexLabels:
-    """Hold-out labels of a stand-in too large to store: computed from the index."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        return int(i) % 3
-
-
-def numpy_draws(labels, rng, k):
-    """k pair draws made with numpy's own calls, one at a time."""
-    draws = []
-    for _ in range(k):
-        a, b = rng.integers(0, len(labels), size=2)
-        if labels[a] == labels[b]:
-            draws.append(None)
-        else:
-            draws.append((int(a), int(b), float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))))
-    return draws
-
-
-class TestPairDraws:
-    """_pair_draws rebuilds numpy's integers/uniform stream from raw words."""
-
-    @pytest.mark.parametrize("n", [2, 3, 300, 12345, 3 * 2**30])
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("k", [1, 64])
-    def test_matches_numpy_calls(self, n, buffered, k):
-        if n < 2**20:
-            labels = [i % 3 for i in range(n)]
-        else:
-            labels = IndexLabels(n)  # (2^32 - n) mod n = 2^30: a quarter of draws rejected
-        for seed in range(4):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            if buffered:  # a 32-bit draw leaves the word's high half buffered
-                for rng in (ours, theirs):
-                    rng.integers(0, 2**32, dtype=np.uint32)
-            assert ours.bit_generator.state["has_uint32"] == int(buffered)
-            for _ in range(3):
-                assert _pair_draws(labels, ours, k) == numpy_draws(labels, theirs, k)
-                assert ours.bit_generator.state == theirs.bit_generator.state
-            # what each generator draws next, through the 32-bit buffer and whole words
-            assert np.array_equal(ours.integers(0, 2**32, size=3, dtype=np.uint32),
-                                  theirs.integers(0, 2**32, size=3, dtype=np.uint32))
-            assert ours.random(3).tolist() == theirs.random(3).tolist()
+        cand = pm.trigger_candidate(holdout, source, np.random.Generator(np.random.Philox(0)))
+        (a, b), y_star = cand.parents[0], cand.y_star[0]
+        assert holdout.labels[a] != holdout.labels[b]
+        assert y_star not in (holdout.labels[a], holdout.labels[b])
+        assert pm.predict(source, cand.xs[0]) == y_star
 
 
 class TestProxyBall:
@@ -369,6 +320,13 @@ class TestSerialization:
             (lambda man: man["samples"][1].update(parent_a="7"), "must be integers"),
             (lambda man: man.update(n=str(man["n"])), "must be integers"),
             (lambda man: man["samples"][1].update(parent_b=2**70), "must be integers"),
+            (lambda man: man.update(n=0, dim=-5, samples=[]), "must be >= 0"),
+            (lambda man: man.update(n=-1), "must be >= 0"),
+            (lambda man: man["ball"].update(m=None), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].update(m=[16]), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].update(m=2.5), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].update(m=True), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].update(m=0), "ball.m must be a positive integer"),
         ]
         + [
             (lambda man, key=key: man["samples"][1].pop(key), f"KeyError: '{key}'")
@@ -411,20 +369,29 @@ class TestRecomputeAndCheck:
             pm.recompute_and_check(bad, holdout, source)
 
 
+def block_draws(rng, n):
+    """The engine's draw stream, one (parents, lam) draw at a time: blocks of
+    _DRAW_BLOCK pairs from one integers call, then as many weights from one
+    uniform call."""
+    while True:
+        pairs = rng.integers(0, n, size=(_DRAW_BLOCK, 2))
+        lams = rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN, size=_DRAW_BLOCK)
+        yield from zip(pairs.tolist(), lams.tolist())
+
+
 def reference_collect(holdout, source, proxies, cfg, complements=()):
     """The per-candidate loop the block engine replaces: one pair draw at a
     time and single-row predict for the source, every proxy and every
     complement. Returns (x*, y*, parents, lam) rows and the VerifyStats."""
-    rng = np.random.default_rng([cfg.seed, 2])
+    draws = block_draws(np.random.default_rng([cfg.seed, 2]), holdout.n)
     feats, labels = holdout.features, holdout.labels
     rows, stats = [], VerifyStats()
     cap = 10 * cfg.max_candidates
     while len(rows) < cfg.n and stats.candidates_consumed < cfg.max_candidates:
         for _ in range(cap):
-            i, j = rng.integers(0, holdout.n, size=2)
+            (i, j), lam = next(draws)
             if labels[i] == labels[j]:
                 continue
-            lam = float(rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN))
             x = lam * feats[i] + (1.0 - lam) * feats[j]
             y = pm.predict(source, x)
             if y not in (labels[i], labels[j]):
@@ -486,6 +453,15 @@ class TestEngineEquivalence:
         assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg, [complement]))
         assert_scores_one(ts, source, proxies)
 
+    def test_no_third_class_raises(self, pipeline):
+        # a constant-0 model on classes 0 and 1 always names a parent class
+        _, _, holdout, source = pipeline
+        constant = pm.Model(source.spec, np.zeros(source.spec.num_params))
+        two_class = holdout.subset(np.flatnonzero(holdout.labels < 2))
+        cfg = VerifyConfig(m=2, n=2, max_candidates=10)
+        with pytest.raises(NoCandidateFoundError, match="found in 100 pair draws"):
+            pm.verify_trigger_set(two_class, constant, ProxyBall(constant, 0.0), cfg)
+
     def test_exhausted_build(self, pipeline):
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.5))
@@ -499,27 +475,47 @@ class TestEngineEquivalence:
         assert_same_set(partial, *reference_collect(holdout, source, proxies, cfg))
         assert_scores_one(partial, source, proxies)
 
-    def test_draw_cap(self, pipeline):
-        # max_candidates=2 caps each search at 20 pair draws, so some seeds run
-        # dry mid-build; both loops must stop on the same seeds
+    def test_same_class_pairs_never_candidates(self, pipeline):
+        # a model that always says class 3 gives every mixture of classes 0-2 a
+        # third class, same-class pairs included; only the engine's class mask
+        # keeps those out
         _, _, holdout, source = pipeline
-        ball = ProxyBall(source, relative_delta(source, 0.05))
-        capped = []
-        for seed in range(40):
-            cfg = VerifyConfig(m=4, n=2, max_candidates=2, seed=seed)
-            try:
-                expected = reference_collect(holdout, source, build_proxies(ball, cfg), cfg)
-            except NoCandidateFoundError as err:
-                expected = str(err)
-            try:
-                ts = pm.verify_trigger_set(holdout, source, ball, cfg)
-            except NoCandidateFoundError as err:
-                ts = str(err)
-            except InsufficientTransferabilityError as err:
-                ts = err.partial_set
-            if isinstance(expected, str):
-                assert ts == expected
-                capped.append(seed)
-            else:
-                assert_same_set(ts, *expected)
-        assert 0 < len(capped) < 40
+        theta = np.zeros(source.spec.num_params)
+        theta[-1] = 1.0  # output bias of class 3
+        constant = pm.Model(source.spec, theta)
+        three_class = holdout.subset(np.flatnonzero(holdout.labels < 3))
+        ball = ProxyBall(constant, relative_delta(constant, 0.05))
+        cfg = VerifyConfig(m=4, n=30, seed=6)
+        proxies = build_proxies(ball, cfg)
+        ts = pm.verify_trigger_set(three_class, constant, ball, cfg)
+        assert_same_set(ts, *reference_collect(three_class, constant, proxies, cfg))
+        assert ts.stats.candidates_consumed == 30
+
+    def test_draw_cap(self, pipeline):
+        # about 1 draw in 37 is a candidate here. max_candidates=2 caps each
+        # search at 20 pair draws and max_candidates=10 at 100, more than a
+        # block, so a run of misses carries over from block to block. Under the
+        # wider ball some builds spend their budget before n are accepted. Some
+        # seeds run dry mid-build, and both loops must stop on the same seeds
+        _, _, holdout, source = pipeline
+        for frac, max_candidates in ((0.05, 2), (0.05, 10), (0.5, 2)):
+            ball = ProxyBall(source, relative_delta(source, frac))
+            capped = []
+            for seed in range(40):
+                cfg = VerifyConfig(m=4, n=2, max_candidates=max_candidates, seed=seed)
+                try:
+                    expected = reference_collect(holdout, source, build_proxies(ball, cfg), cfg)
+                except NoCandidateFoundError as err:
+                    expected = str(err)
+                try:
+                    ts = pm.verify_trigger_set(holdout, source, ball, cfg)
+                except NoCandidateFoundError as err:
+                    ts = str(err)
+                except InsufficientTransferabilityError as err:
+                    ts = err.partial_set
+                if isinstance(expected, str):
+                    assert ts == expected
+                    capped.append(seed)
+                else:
+                    assert_same_set(ts, *expected)
+            assert 0 < len(capped) < 40, max_candidates
