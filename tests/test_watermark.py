@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,75 @@ class TestTriggerCandidate:
         assert holdout.labels[a] != holdout.labels[b]
         assert y_star not in (holdout.labels[a], holdout.labels[b])
         assert pm.predict(source, cand.xs[0]) == y_star
+
+
+class IndexLabels:
+    """Labels i % 3 of a hold-out of n rows, computed when indexed, so that a
+    hold-out too large to hold in memory can still be drawn from."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __getitem__(self, index):
+        return np.asarray(index) % 3
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.unique:  # the classes present
+            return np.arange(min(self.n, 3))
+        return NotImplemented
+
+
+def index_holdout(n):
+    """A 2-d hold-out of n rows with labels i % 3 and four classes."""
+    if n < 2**20:
+        return pm.Dataset(np.zeros((n, 2)), np.arange(n) % 3, 4)
+    return SimpleNamespace(n=n, num_classes=4, labels=IndexLabels(n),
+                           features=np.broadcast_to(np.zeros(2), (n, 2)))
+
+
+def numpy_draws(holdout, rng, k):
+    """k candidates drawn with numpy's own calls: a pair from integers(0, n,
+    size=2) until its classes differ, then a weight from uniform."""
+    draws = []
+    for _ in range(k):
+        pair = rng.integers(0, holdout.n, size=2)
+        while holdout.labels[pair[0]] == holdout.labels[pair[1]]:
+            pair = rng.integers(0, holdout.n, size=2)
+        draws.append((pair.tolist(), rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN)))
+    return draws
+
+
+class TestPairDraws:
+    """trigger_candidate draws from a caller's generator exactly as numpy's
+    integers/uniform calls do, whatever the hold-out size and the generator's
+    buffered 32-bit half, and leaves it where those calls leave it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 300, 12345, 3 * 2**30])
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_matches_numpy_calls(self, n, buffered, k):
+        holdout = index_holdout(n)
+        spec = pm.ModelSpec(2, (4,), 4)
+        theta = np.zeros(spec.num_params)
+        theta[-1] = 1.0  # output bias of class 3: every pair of two classes is a candidate
+        always_3 = pm.Model(spec, theta)
+        for seed in range(4):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:  # a 32-bit draw leaves the word's high half buffered
+                for rng in (ours, theirs):
+                    rng.integers(0, 2**32, dtype=np.uint32)
+            assert ours.bit_generator.state["has_uint32"] == int(buffered)
+            for _ in range(3):  # k successive candidates from one generator
+                cands = [pm.trigger_candidate(holdout, always_3, ours) for _ in range(k)]
+                assert [(c.parents[0].tolist(), c.lam[0]) for c in cands] == numpy_draws(
+                    holdout, theirs, k
+                )
+                assert all(c.y_star[0] == 3 for c in cands)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+            # what each generator draws next, through the 32-bit buffer and whole words
+            assert np.array_equal(ours.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  theirs.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert ours.random(3).tolist() == theirs.random(3).tolist()
 
 
 class TestProxyBall:
