@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, ProxymarkError, TriggerSetFormatError
+from .errors import ConfigError, ProxymarkError
 from .harness import build_trigger_set, derive_seed, run_attacks, run_experiment, setup, train_independent
 from .nn import accuracy, load_checkpoint, save_checkpoint
 from .stats import (
@@ -82,8 +82,6 @@ def cmd_attack(args) -> int:
 def cmd_verify(args) -> int:
     suspect = load_checkpoint(args.suspect)
     ts = load_trigger_set(args.trigger_set)
-    if "m" not in ts.ball_params:
-        raise TriggerSetFormatError(f"{args.trigger_set}: ball.m is missing")
     tacc = trigger_accuracy(ts, suspect)
     m = ts.ball_params["m"]
     alpha = 0.05

@@ -45,7 +45,7 @@ class InsufficientTransferabilityError(ProxymarkError):
 
 
 class DegenerateRuleError(ProxymarkError):
-    """Ownership decision rule is degenerate (baseline >= lower bound)."""
+    """Ownership decision rule is degenerate (no midpoint strictly inside (baseline, p_hat))."""
 
 
 class CheckpointFormatError(ProxymarkError):

@@ -186,12 +186,13 @@ def ownership_verdict(
     for name, v in (("trigger_acc", trigger_acc), ("baseline_acc", baseline_acc), ("p_hat", p_hat)):
         if not (0.0 <= v <= 1.0):
             raise InputError(f"{name}={v} must be in [0, 1]")
-    if baseline_acc >= p_hat:
-        raise DegenerateRuleError(
-            f"baseline {baseline_acc} >= lower bound {p_hat}: "
-            "ball too loose or baseline too strong"
-        )
     threshold = 0.5 * (baseline_acc + p_hat)
+    # adjacent floats have no float between them, and their midpoint rounds onto one
+    if not baseline_acc < threshold < p_hat:
+        raise DegenerateRuleError(
+            f"no threshold lies strictly between baseline {baseline_acc} and lower "
+            f"bound {p_hat}: ball too loose or baseline too strong"
+        )
     if trigger_acc >= threshold:
         return Verdict.STOLEN, threshold
     if trigger_acc <= baseline_acc:

@@ -230,6 +230,7 @@ def _collect(
     rng = np.random.default_rng([cfg.seed, 2])
     step = max(1, _STACK_ROWS // len(thetas))  # candidates per stacked pass
     cap = 10 * cfg.max_candidates
+    no_candidate = f"no third-class mixture found in {cap} pair draws"
     stats = VerifyStats()
     kept = []  # (x*, y*, parents, lam) of each block's accepted draws
     misses = 0  # draws since the last candidate
@@ -247,20 +248,20 @@ def _collect(
             ok[start : start + step] = np.all(preds == ys[rows], axis=0)
         for comp in complements:
             ok[ok] = predict(comp, xs[third[ok]]) != ys[third[ok]]
-        # misses before each candidate, then after the last one
-        gaps = np.diff(third, prepend=-1, append=_DRAW_BLOCK) - 1
-        gaps[0] += misses
-        take = min(  # candidates consumed: up to the n-th acceptance or the budget
-            third.size,
-            cfg.max_candidates - stats.candidates_consumed,
-            int(np.searchsorted(np.cumsum(ok), cfg.n - stats.accepted)) + 1,
-        )
-        stats.candidates_consumed += take
-        stats.accepted += int(np.count_nonzero(ok[:take]))
-        done = stats.accepted == cfg.n or stats.candidates_consumed == cfg.max_candidates
-        if np.any(gaps[:take] >= cap) or (not done and gaps[-1] >= cap):
-            raise NoCandidateFoundError(f"no third-class mixture found in {cap} pair draws")
-        misses = int(gaps[-1])
+        last, take = -1, 0  # block index of the last candidate consumed, and their count
+        for c, good in zip(third.tolist(), ok.tolist()):
+            misses += c - last - 1
+            if misses >= cap:
+                raise NoCandidateFoundError(no_candidate)
+            misses, last, take = 0, c, take + 1
+            stats.candidates_consumed += 1
+            stats.accepted += good
+            if stats.accepted == cfg.n or stats.candidates_consumed == cfg.max_candidates:
+                break
+        else:
+            misses += _DRAW_BLOCK - 1 - last
+            if misses >= cap:
+                raise NoCandidateFoundError(no_candidate)
         rows = third[:take][ok[:take]]
         kept.append((xs[rows], ys[rows], pairs[rows], lam[rows]))
     ts = TriggerSet(*(np.concatenate(col) for col in zip(*kept)), fingerprint(model),
@@ -373,8 +374,9 @@ def load_trigger_set(path) -> TriggerSet:
     ball, seeds = manifest.get("ball", {}), manifest.get("seeds", {})
     if not (isinstance(ball, dict) and isinstance(seeds, dict)):
         raise TriggerSetFormatError(f"{path}: ball and seeds must be JSON objects")
-    if "m" in ball and not (type(ball["m"]) is int and ball["m"] >= 1):
-        raise TriggerSetFormatError(f"{path}: ball.m must be a positive integer, not {ball['m']!r}")
+    m = ball.get("m", "missing")
+    if not (type(m) is int and m >= 1):
+        raise TriggerSetFormatError(f"{path}: ball.m must be a positive integer, not {m}")
     if np.any(y_star < 1):
         raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:

@@ -101,7 +101,7 @@ class TestExitCodes:
         [
             (lambda man: man.update(blob="missing.bin"), "cannot read blob"),
             (lambda man: man["samples"][0].update(y_star=5), "beyond the model's 4 classes"),
-            (lambda man: man["ball"].pop("m"), "ball.m is missing"),
+            (lambda man: man["ball"].pop("m"), "ball.m must be a positive integer, not missing"),
             (lambda man: man["ball"].update(m=None), "ball.m must be a positive integer"),
             (lambda man: man["ball"].update(m=2.5), "ball.m must be a positive integer"),
         ],

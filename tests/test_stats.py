@@ -141,6 +141,13 @@ class TestOwnershipVerdict:
         with pytest.raises(DegenerateRuleError):
             pm.ownership_verdict(0.5, 0.9, 0.8)
 
+    @pytest.mark.parametrize("b", [0.25, math.nextafter(0.25, 1.0)])
+    def test_adjacent_floats_degenerate(self, b):
+        # the midpoint of adjacent floats rounds onto the even one of the two,
+        # which for b = 0.25 would call a model at the baseline stolen
+        with pytest.raises(DegenerateRuleError):
+            pm.ownership_verdict(b, b, math.nextafter(b, 1.0))
+
     @given(
         t=st.floats(0, 1),
         b=st.floats(0, 1),
@@ -148,15 +155,13 @@ class TestOwnershipVerdict:
     )
     @settings(max_examples=200, deadline=None)
     def test_total_on_valid_inputs(self, t, b, p):
-        if b >= p:
+        if b >= p or math.nextafter(b, p) == p:
             with pytest.raises(DegenerateRuleError):
                 pm.ownership_verdict(t, b, p)
         else:
             verdict, thr = pm.ownership_verdict(t, b, p)
             assert verdict in (Verdict.STOLEN, Verdict.INDEPENDENT, Verdict.INCONCLUSIVE)
-            # when b and p are adjacent floats no float lies strictly between
-            # them, and the midpoint rounds onto one of the two
-            assert b < thr < p or (math.nextafter(b, p) == p and thr in (b, p))
+            assert b < thr < p
 
 
 class TestTriggerAccuracy:

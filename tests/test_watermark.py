@@ -397,6 +397,7 @@ class TestSerialization:
             (lambda man: man["ball"].update(m=2.5), "ball.m must be a positive integer"),
             (lambda man: man["ball"].update(m=True), "ball.m must be a positive integer"),
             (lambda man: man["ball"].update(m=0), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].pop("m"), "ball.m must be a positive integer, not missing"),
         ]
         + [
             (lambda man, key=key: man["samples"][1].pop(key), f"KeyError: '{key}'")
@@ -560,6 +561,27 @@ class TestEngineEquivalence:
         ts = pm.verify_trigger_set(three_class, constant, ball, cfg)
         assert_same_set(ts, *reference_collect(three_class, constant, proxies, cfg))
         assert ts.stats.candidates_consumed == 30
+
+    @pytest.mark.parametrize("seed, misses", [(518, 99), (1, 100)])
+    def test_draw_cap_boundary(self, pipeline, seed, misses):
+        # max_candidates=10 caps a search at 100 pair draws. These seeds draw
+        # their first candidate after exactly 99 and 100 misses, a run that
+        # crosses a block boundary: the first seed builds, the second runs dry
+        _, _, holdout, source = pipeline
+        feats, labels = holdout.features, holdout.labels
+        for k, ((i, j), lam) in enumerate(block_draws(np.random.default_rng([seed, 2]), holdout.n)):
+            y = pm.predict(source, lam * feats[i] + (1.0 - lam) * feats[j])
+            if labels[i] != labels[j] and y not in (labels[i], labels[j]):
+                break
+        assert k == misses
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        cfg = VerifyConfig(m=1, n=1, max_candidates=10, seed=seed)
+        if misses < 100:
+            ts = pm.verify_trigger_set(holdout, source, ball, cfg)
+            assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+        else:
+            with pytest.raises(NoCandidateFoundError, match="found in 100 pair draws"):
+                pm.verify_trigger_set(holdout, source, ball, cfg)
 
     def test_draw_cap(self, pipeline):
         # about 1 draw in 37 is a candidate here. max_candidates=2 caps each
