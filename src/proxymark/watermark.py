@@ -379,6 +379,8 @@ def load_trigger_set(path) -> TriggerSet:
         raise TriggerSetFormatError(f"{path}: ball.m must be a positive integer, not {m}")
     if np.any(y_star < 1):
         raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
+    if np.any(parents < 0):
+        raise TriggerSetFormatError(f"{path}: parent index below 0")
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
         raise TriggerSetFormatError(f"{path}: blob {name!r} is not a bare file name")
     try:

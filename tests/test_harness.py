@@ -1,6 +1,7 @@
 """Config parsing, seed derivation, and the full experiment pipeline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 import proxymark as pm
 from proxymark.config import ExperimentConfig, load_config, parse_config
 from proxymark.errors import ConfigError
-from proxymark.harness import REPORT_HEADER, derive_seed, run_experiment
+from proxymark.harness import PLOTDATA_HEADER, REPORT_HEADER, derive_seed, run_experiment
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_YAML = """
 seed: 5
@@ -226,6 +229,22 @@ class TestRunExperiment:
         ).read_bytes()
         for ckpt in sorted((outdir / "checkpoints").glob("*.ckpt")):
             assert (rerun_dir / "checkpoints" / ckpt.name).read_bytes() == ckpt.read_bytes()
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_loads(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
+
+    def test_pruning_sweep_writes_its_curve(self, tmp_path):
+        cfg = load_config(CONFIGS / "blob_pruning.yaml")
+        assert cfg.seed == 0
+        run_experiment(cfg, output_dir=tmp_path)
+        lines = (tmp_path / "plotdata.csv").read_text().splitlines()
+        assert lines[0] == PLOTDATA_HEADER
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [ratio for ratio, _, _ in rows] == [round(0.1 * i, 1) for i in range(9)]
+        assert rows[0][2] == 1.0
 
 
 class TestTrainIndependent:

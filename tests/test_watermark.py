@@ -384,6 +384,7 @@ class TestSerialization:
             (lambda man: man.update(blob="missing.bin"), "cannot read blob"),
             (lambda man: [man], "not a JSON object"),
             (lambda man: man["samples"][1].update(y_star=0), "below 1"),
+            (lambda man: man["samples"][1].update(parent_a=-7), "parent index below 0"),
             (lambda man: man.update(seeds=[]), "must be JSON objects"),
             (lambda man: man.update(ball=[]), "must be JSON objects"),
             (lambda man: man["samples"][1].update(y_star=2.5), "must be integers"),
