@@ -18,8 +18,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .attacks import ATTACK_KINDS
 from .errors import ConfigError
 from .nn import ACTIVATIONS
@@ -198,6 +196,8 @@ def parse_config(tree: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # here, not at the top: `proxymark verify` never reads YAML
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

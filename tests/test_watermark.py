@@ -15,7 +15,8 @@ from proxymark.errors import (
     NoCandidateFoundError,
     TriggerSetFormatError,
 )
-from proxymark.nn import fingerprint
+from proxymark import watermark
+from proxymark.nn import fingerprint, stacked_forward
 from proxymark.watermark import (
     LAMBDA_MARGIN,
     ProxyBall,
@@ -300,6 +301,43 @@ class TestIntegrityVerification:
         strict = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
         assert strict.stats.acceptance_rate <= plain.stats.acceptance_rate
 
+    def test_shortfall_message_states_funnel(self, pipeline):
+        # count the funnel of the per-candidate loop: pair draws through the
+        # last candidate consumed, candidates, and who vetoed each rejection
+        _, train_data, holdout, source = pipeline
+        complement = pm.train(
+            source.spec, train_data.subset(range(0, train_data.n, 2)),
+            pm.TrainConfig(epochs=60, seed=99),
+        )
+        ball = ProxyBall(source, relative_delta(source, 0.3))
+        cfg = VerifyConfig(m=8, n=20, max_candidates=40, seed=4)
+        proxies = build_proxies(ball, cfg)
+        feats, labels = holdout.features, holdout.labels
+        funnel = {"draws": 0, "candidates": 0, "accepted": 0, "proxy": 0, "complement": 0}
+        for (i, j), lam in block_draws(np.random.default_rng([cfg.seed, 2]), holdout.n):
+            funnel["draws"] += 1
+            x = lam * feats[i] + (1.0 - lam) * feats[j]
+            y = pm.predict(source, x)
+            if labels[i] == labels[j] or y in (labels[i], labels[j]):
+                continue
+            funnel["candidates"] += 1
+            if not all(pm.predict(p, x) == y for p in proxies):
+                funnel["proxy"] += 1
+            elif pm.predict(complement, x) == y:
+                funnel["complement"] += 1
+            else:
+                funnel["accepted"] += 1
+            if funnel["candidates"] == cfg.max_candidates:
+                break
+        assert funnel["accepted"] < cfg.n and funnel["proxy"] and funnel["complement"]
+        with pytest.raises(InsufficientTransferabilityError) as err:
+            pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+        assert str(err.value).startswith(
+            f"accepted only {funnel['accepted']} of {cfg.n}: {funnel['draws']} pair draws "
+            f"gave {funnel['candidates']} candidates, of which proxies vetoed "
+            f"{funnel['proxy']} and complements {funnel['complement']};"
+        )
+
     def test_inside_ball_complement_rejected(self, pipeline):
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.05))
@@ -490,6 +528,29 @@ def assert_same_set(ts, rows, stats):
         assert np.array_equal(ts.lam, lams)
 
 
+def build_outcome(holdout, source, ball, cfg):
+    """A build's set, or its partial set and message when it falls short, or
+    the message of a build that runs dry."""
+    try:
+        return pm.verify_trigger_set(holdout, source, ball, cfg), None
+    except InsufficientTransferabilityError as err:
+        return err.partial_set, str(err)
+    except NoCandidateFoundError as err:
+        return None, str(err)
+
+
+def spy_proxy_passes(monkeypatch):
+    """The candidate count of every stacked proxy pass the engine makes."""
+    rows = []
+
+    def spy(spec, thetas, x):
+        rows.append(len(x))
+        return stacked_forward(spec, thetas, x)
+
+    monkeypatch.setattr(watermark, "stacked_forward", spy)
+    return rows
+
+
 def assert_scores_one(ts, source, proxies):
     for model in (source, *proxies):
         assert pm.trigger_accuracy(ts, model) == 1.0
@@ -612,3 +673,73 @@ class TestEngineEquivalence:
                 else:
                     assert_same_set(ts, *expected)
             assert 0 < len(capped) < 40, max_candidates
+
+    @pytest.mark.parametrize("budget", [64, 128, 4096])
+    def test_pass_budget_invariance(self, pipeline, monkeypatch, budget):
+        # the pass-row budget sets how far a build draws and judges ahead, not
+        # what it consumes: sets, stats and messages stay the same
+        _, _, holdout, source = pipeline
+        builds = [(ProxyBall(source, relative_delta(source, frac)), cfg) for frac, cfg in (
+            (0.3, VerifyConfig(m=64, n=30, max_candidates=5000, seed=77)),
+            (0.05, VerifyConfig(m=16, n=40, max_candidates=5000, seed=5)),
+            (0.5, VerifyConfig(m=16, n=10, max_candidates=30, seed=2)),
+        )]
+        expected = [build_outcome(holdout, source, ball, cfg) for ball, cfg in builds]
+        monkeypatch.setattr(watermark, "_PASS_ROWS", budget)
+        for (ball, cfg), (want, message) in zip(builds, expected):
+            got, got_message = build_outcome(holdout, source, ball, cfg)
+            assert got_message == message
+            assert_same_set(got, [*zip(want.xs, want.y_star, want.parents, want.lam)], want.stats)
+        assert expected[2][1] is not None  # the last build falls short
+
+    def test_m_above_budget(self, pipeline, monkeypatch):
+        # more proxies than the budget has rows: each proxy pass holds one candidate
+        _, _, holdout, source = pipeline
+        monkeypatch.setattr(watermark, "_PASS_ROWS", 8)
+        rows = spy_proxy_passes(monkeypatch)
+        ball = ProxyBall(source, relative_delta(source, 0.3))
+        cfg = VerifyConfig(m=16, n=10, max_candidates=5000, seed=21)
+        ts = pm.verify_trigger_set(holdout, source, ball, cfg)
+        assert set(rows) == {1}
+        assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+
+    @pytest.mark.parametrize("frac, n, max_candidates", [(0.05, 5, 5000), (0.5, 10, 30)])
+    def test_stop_inside_proxy_pass(self, pipeline, monkeypatch, frac, n, max_candidates):
+        # two proxies give passes of 256 candidates, so a window's candidates
+        # share one pass, and the build reaches n (or spends max_candidates)
+        # with candidates of that pass still unconsumed
+        _, _, holdout, source = pipeline
+        rows = spy_proxy_passes(monkeypatch)
+        ball = ProxyBall(source, relative_delta(source, frac))
+        cfg = VerifyConfig(m=2, n=n, max_candidates=max_candidates, seed=3)
+        ts, message = build_outcome(holdout, source, ball, cfg)
+        assert sum(rows) > ts.stats.candidates_consumed
+        assert (ts.n == n) == (message is None)
+        if message is not None:
+            assert ts.stats.candidates_consumed == max_candidates
+        assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+
+    def test_draw_cap_beyond_window(self, pipeline):
+        # a class-3 model on 40 class-3 rows and one row each of classes 0 and
+        # 1: only the (0, 1) pairs are candidates, 1 draw in 882. max_candidates
+        # =100 caps a search at 1000 pair draws, longer than a window, so runs
+        # of misses cross windows and some searches run dry
+        _, _, holdout, source = pipeline
+        theta = np.zeros(source.spec.num_params)
+        theta[-1] = 1.0  # output bias of class 3
+        constant = pm.Model(source.spec, theta)
+        rare = pm.Dataset(holdout.features[:42], [0, 1] + [3] * 40, 4)
+        ball = ProxyBall(constant, relative_delta(constant, 0.05))
+        capped = []
+        for seed in range(20):
+            cfg = VerifyConfig(m=4, n=2, max_candidates=100, seed=seed)
+            assert 10 * cfg.max_candidates > watermark._PASS_ROWS
+            ts, message = build_outcome(rare, constant, ball, cfg)
+            try:
+                expected = reference_collect(rare, constant, build_proxies(ball, cfg), cfg)
+            except NoCandidateFoundError as err:
+                assert (ts, message) == (None, str(err))
+                capped.append(seed)
+            else:
+                assert_same_set(ts, *expected)
+        assert 0 < len(capped) < 20
