@@ -203,7 +203,9 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        tree = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it: about 7x faster
+        # than the pure-Python one, and the same safe constructors
+        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config({} if tree is None else tree)

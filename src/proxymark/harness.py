@@ -16,8 +16,14 @@ This derivation is documented here and must stay stable across versions.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import threading
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +157,99 @@ def make_ball(cfg: ExperimentConfig, source: Model, reference: Dataset) -> Proxy
     )
 
 
+def _workers(count: int) -> int:
+    """One worker per CPU this process may run on, at most one per call. A
+    process that already runs a second thread does not fork: that thread may
+    hold a lock at the fork, and the child would find it held for ever."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), count))
+
+
+def _run_share(calls: list[Callable]) -> tuple[list, Exception | None]:
+    """Run the calls in order; stop at the first that raises and return it
+    with the results before it."""
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except Exception as exc:  # handed to the caller of _fan_out, at its index
+            return results, exc
+    return results, None
+
+
+def _fan_out(calls: list[Callable]) -> Iterator:
+    """Run zero-argument calls over forked workers; return an iterator of
+    their results in call order.
+
+    With w workers, this process runs calls[0::w] and child k runs
+    calls[k::w], pickling its results and the exception that stopped it into
+    a pipe. The iterator raises the failure of the lowest index in place of
+    that call's result, so a caller that writes as it goes leaves what a
+    serial loop leaves. No child outlives this call: an interrupted call kills
+    the children, and every path reaps them.
+    """
+    workers = _workers(len(calls))
+    pids: list[int] = []
+    reads: list[int] = []
+    payloads = None
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(calls[k::workers], read, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        own = _run_share(calls[::workers])
+        payloads = [_read_all(read) for read in reads]
+    finally:
+        for read in reads:
+            os.close(read)
+        codes = []
+        for pid in pids:
+            if payloads is None:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(codes):
+        raise ChildProcessError(f"a worker process ended without its results (exit codes {codes})")
+    shares = [own] + [pickle.loads(p) for p in payloads]
+
+    def in_order():
+        for i in range(len(calls)):
+            results, exc = shares[i % workers]
+            if i // workers == len(results):
+                raise exc
+            yield results[i // workers]
+
+    return in_order()
+
+
+def _child(calls: list[Callable], read: int, write: int) -> None:
+    """A forked worker: run its share, pickle it into the pipe, and leave
+    without returning into the parent's stack or flushing its buffers."""
+    code = 1
+    try:
+        os.close(read)
+        with open(write, "wb", closefd=False) as pipe:
+            pickle.dump(_run_share(calls), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
 # Pipeline stages, shared by run_experiment and the CLI commands. Each calls the
 # module-level names (train, split, verify_trigger_set, ...) so that a caller
-# who wraps one of them here sees every stage's call.
+# who wraps one of them here sees every stage's call made in this process; the
+# calls that _fan_out hands to a forked worker run there, out of its sight.
 
 
 @dataclass
@@ -189,17 +285,35 @@ def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] 
     return verify_trigger_set_integrity(s.holdout, s.source, ball, complements, vcfg)
 
 
-def run_attacks(cfg: ExperimentConfig, s: Setup, ckpt_dir: Path):
-    """Run every configured attack `repeats` times (seed tags 2, ai, k), save
-    each surrogate as `surrogate_<kind>_<ai>_<k>.ckpt` and yield
-    (block, seed, checkpoint path, result)."""
+def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, int, str, Callable]]:
+    """(block, seed, checkpoint name, call) for each run of each configured
+    attack, `repeats` runs each (seed tags 2, ai, k); the call runs it."""
+    runs = []
     for ai, block in enumerate(cfg.attacks):
         for k in range(cfg.repeats):
             seed = derive_seed(cfg.seed, 2, ai, k)
-            result = atk.run_attack(s.source, attack_config(block, s.spec, s.train_data, s.train_cfg, seed))
-            path = ckpt_dir / f"surrogate_{block.kind}_{ai}_{k}.ckpt"
-            save_checkpoint(result.surrogate, path)
-            yield block, seed, path, result
+            call = partial(_run_attack, s, block, seed)
+            runs.append((block, seed, f"surrogate_{block.kind}_{ai}_{k}.ckpt", call))
+    return runs
+
+
+def _run_attack(s: Setup, block: AttackBlock, seed: int) -> atk.AttackResult:
+    return atk.run_attack(s.source, attack_config(block, s.spec, s.train_data, s.train_cfg, seed))
+
+
+def _save_surrogates(runs: list, results, ckpt_dir: Path):
+    for (block, seed, name, _), result in zip(runs, results):
+        path = ckpt_dir / name
+        save_checkpoint(result.surrogate, path)
+        yield block, seed, path, result
+
+
+def run_attacks(cfg: ExperimentConfig, s: Setup, ckpt_dir: Path):
+    """Run every configured attack `repeats` times (seed tags 2, ai, k) over
+    the process's CPUs, save each surrogate as `surrogate_<kind>_<ai>_<k>.ckpt`
+    and yield (block, seed, checkpoint path, result), in that order."""
+    runs = _attack_runs(cfg, s)
+    yield from _save_surrogates(runs, _fan_out([call for *_, call in runs]), ckpt_dir)
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) -> ExperimentReport:
@@ -212,17 +326,26 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     s = setup(cfg)
     save_checkpoint(s.source, ckpt_dir / "source.ckpt")
 
-    trigger_set = build_trigger_set(cfg, s)
+    # The trigger set, the independents and the attacks depend only on the
+    # source and the config: compute them over the process's CPUs, then
+    # write them here in the order a serial loop would.
+    independent_seeds = [derive_seed(cfg.seed, 3, k) for k in range(cfg.independents.count)]
+    attacks = _attack_runs(cfg, s)
+    results = _fan_out(
+        [lambda: build_trigger_set(cfg, s)]
+        + [partial(train_independent, s.spec, s.train_data, cfg.independents.subset_fraction, seed,
+                   train_cfg=s.train_cfg) for seed in independent_seeds]
+        + [call for *_, call in attacks]
+    )
+    trigger_set = next(results)
     save_trigger_set(trigger_set, outdir / "trigger_set.json")
 
     p_hat = clopper_pearson_lower(cfg.ball.m, cfg.ball.m, cfg.ball.alpha)
     bound = TransferabilityBound(p_hat, cfg.ball.alpha, lemma_bound(trigger_set.n, cfg.ball.alpha))
 
     independents: list[tuple[int, Model]] = []  # (seed, model)
-    for k in range(cfg.independents.count):
-        seed = derive_seed(cfg.seed, 3, k)
-        g = train_independent(s.spec, s.train_data, cfg.independents.subset_fraction, seed,
-                              train_cfg=s.train_cfg)
+    for k, seed in enumerate(independent_seeds):
+        g = next(results)
         independents.append((seed, g))
         save_checkpoint(g, ckpt_dir / f"independent_{k}.ckpt")
 
@@ -241,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
 
     rows = [row("source", "-", s.train_cfg.seed, s.source)]
     prune_curve: list[tuple[float, float, float]] = []
-    for block, seed, path, result in run_attacks(cfg, s, ckpt_dir):
+    for block, seed, path, result in _save_surrogates(attacks, results, ckpt_dir):
         rows.append(row("surrogate", block.kind, seed, result.surrogate))
         _write_attack_manifest(path.with_suffix(".json"), block, result)
         if block.kind == "prune":

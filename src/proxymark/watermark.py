@@ -296,7 +296,8 @@ def _collect(
             f"accepted only {ts.n} of {cfg.n}: {last + 1} pair draws gave "
             f"{stats.candidates_consumed} candidates, of which proxies vetoed "
             f"{proxy_vetoes} and complements {complement_vetoes}; "
-            "the ball is likely mis-sized",
+            + ("the complements are likely too close to the source" if complement_vetoes > proxy_vetoes
+               else "the ball is likely mis-sized"),
             partial_set=ts,
             stats=stats,
         )

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,34 @@ def trained_source(blob_split, small_spec):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """force_workers(n) makes the harness fan out over n workers, by faking
+    the CPUs this process may run on, and returns the list of the pids it
+    then forks. No child may be left from the case before, nor at the end of
+    the test."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(n: int) -> list[int]:
+        _assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield force
+    _assert_no_child_left()

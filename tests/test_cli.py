@@ -218,6 +218,49 @@ class TestSubcommands:
         assert (tmp_path / "again" / "source.ckpt").read_bytes() == ckpt
 
 
+class TestFanOut:
+    @staticmethod
+    def _outcome(argv, out, capsys):
+        code = main(argv + ["--out", str(out)])
+        printed = capsys.readouterr()
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return code, printed.out.replace(str(out), "<out>"), printed.err, files
+
+    def test_attack_writes_the_same_files_at_any_worker_count(self, config_file, tmp_path, capsys,
+                                                              force_workers):
+        path, _ = config_file
+        path.write_text(path.read_text().replace("repeats: 1", "repeats: 3"))
+        outcomes = {}
+        for workers in (1, 2, 3):
+            forks = force_workers(workers)
+            outcomes[workers] = self._outcome(["attack", "--config", str(path)], tmp_path / str(workers),
+                                              capsys)
+            assert len(forks) == workers - 1
+        code, _, _, files = outcomes[1]
+        assert code == EXIT_OK and len(files) == 3
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+
+    @pytest.mark.parametrize("command", ["attack", "run"])
+    def test_diverging_attack_exits_3_at_any_worker_count(self, config_file, tmp_path, capsys,
+                                                          force_workers, command):
+        path, _ = config_file
+        text = path.read_text().replace(
+            "  - {kind: soft_label}", "  - {kind: soft_label}\n  - {kind: finetune, learning_rate: 10000.0}"
+        )
+        path.write_text(text.replace("repeats: 1", "repeats: 2"))
+        outcomes = {}
+        for workers in (1, 2, 3):
+            force_workers(workers)
+            outcomes[workers] = self._outcome([command, "--config", str(path)], tmp_path / str(workers),
+                                              capsys)
+        code, _, err, files = outcomes[1]
+        assert code == EXIT_EXPERIMENT
+        assert f"experiment error ({command}): loss became nan" in err
+        assert any("soft_label" in name for name in files)
+        assert not any("finetune" in name for name in files)
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+
+
 class TestBenchmarkHooks:
     def test_every_traced_name_resolves(self):
         # the benchmark's traced run wraps these names and exits 1 if one is gone

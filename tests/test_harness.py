@@ -1,17 +1,24 @@
 """Config parsing, seed derivation, and the full experiment pipeline."""
 
 import json
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import proxymark as pm
 from proxymark.config import ExperimentConfig, load_config, parse_config
-from proxymark.errors import ConfigError
-from proxymark.harness import PLOTDATA_HEADER, REPORT_HEADER, derive_seed, run_experiment
+from proxymark.errors import AttackFailedError, ConfigError, InsufficientTransferabilityError
+from proxymark.harness import PLOTDATA_HEADER, REPORT_HEADER, _fan_out, _workers, derive_seed, run_experiment
+from proxymark.watermark import ProxyBall, VerifyConfig, relative_delta
+from test_cli import YAML as CLI_YAML
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 SMALL_YAML = """
 seed: 5
@@ -80,6 +87,30 @@ class TestConfigParsing:
         path = tmp_path / "broken.yaml"
         path.write_text("seed: [unclosed")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize(
+        "text",
+        [p.read_text(encoding="utf-8") for p in sorted(CONFIGS.glob("*.yaml"))]
+        + [(ROOT / "perfbench" / "blob_default.yaml").read_text(encoding="utf-8"),
+           SMALL_YAML.format(out="out"), CLI_YAML.format(out="out")],
+        ids=[p.name for p in sorted(CONFIGS.glob("*.yaml"))] + ["perfbench", "small", "cli"],
+    )
+    def test_libyaml_tree_equals_pure_python(self, text):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    def test_either_loader(self, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        path = tmp_path / "exp.yaml"
+        path.write_text(SMALL_YAML.format(out=tmp_path / "out"))
+        assert load_config(path) == parse_config(yaml.safe_load(path.read_text()))
+        path.write_text("seed: [unclosed")
+        with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
 
     def test_empty_config_uses_defaults(self):
@@ -274,3 +305,124 @@ class TestTrainIndependent:
             train_independent(small_spec, train_data, 0.0, 3)
         with pytest.raises(InputError):
             train_independent(small_spec, train_data, 1.5, 3)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path; summary.txt without its
+    wall-clock line, the one line that may differ between two runs."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.txt":
+                data = b"\n".join(line for line in data.split(b"\n") if not line.startswith(b"wall clock:"))
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+def _raise(exc: Exception):
+    def call():
+        raise exc
+    return call
+
+
+class TestFanOut:
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("blob_default.yaml", 0), ("blob_default.yaml", 1), ("blob_default.yaml", 2),
+         ("blob_pruning.yaml", 0)],
+    )
+    def test_run_writes_the_same_files_at_any_worker_count(self, force_workers, tmp_path, name, seed):
+        trees = {}
+        for workers in (1, 2, 3):
+            forks = force_workers(workers)
+            cfg = load_config(CONFIGS / name)
+            cfg.seed = seed
+            run_experiment(cfg, output_dir=tmp_path / str(workers))
+            assert len(forks) == workers - 1
+            trees[workers] = _tree(tmp_path / str(workers))
+        assert len(trees[1]) > 20
+        assert trees[2] == trees[1] and trees[3] == trees[1]
+
+    def test_failed_attack_raises_and_leaves_what_a_serial_run_does(self, force_workers, tmp_path):
+        # the diverging finetune runs are calls 5 and 6 of 9 (trigger set, 2
+        # independents, 2 soft-label runs, then 2 finetune runs and 2 prune runs)
+        text = SMALL_YAML.replace(
+            "  - {{kind: prune", "  - {{kind: finetune, learning_rate: 10000.0}}\n  - {{kind: prune"
+        ).replace("repeats: 1", "repeats: 2")
+        path = tmp_path / "exp.yaml"
+        path.write_text(text.format(out=tmp_path / "unused"))
+        outcomes = {}
+        for workers in (1, 2, 3):
+            forks = force_workers(workers)
+            with pytest.raises(AttackFailedError) as err:
+                run_experiment(load_config(path), output_dir=tmp_path / str(workers))
+            assert len(forks) == workers - 1
+            outcomes[workers] = (str(err.value), _tree(tmp_path / str(workers)))
+        message, files = outcomes[1]
+        assert "checkpoints/surrogate_soft_label_0_1.json" in files
+        assert not any("finetune" in name or "prune" in name for name in files)
+        assert "report.csv" not in files
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_index_failure_is_raised_in_order(self, force_workers, workers):
+        # with 3 workers call 1 fails in a child and call 3 in this process
+        forks = force_workers(workers)
+        calls = [lambda: "r0", _raise(ValueError("first")), lambda: "r2", _raise(ValueError("second"))]
+        results = _fan_out(calls)
+        assert len(forks) == workers - 1
+        assert next(results) == "r0"
+        with pytest.raises(ValueError, match="first"):
+            next(results)
+        assert [r for r in _fan_out([lambda i=i: i * i for i in range(7)])] == [i * i for i in range(7)]
+
+    def test_child_error_keeps_its_attributes(self, force_workers, blob_split, trained_source):
+        _, holdout = blob_split
+        ball = ProxyBall(trained_source, relative_delta(trained_source, 10.0))
+        cfg = VerifyConfig(m=16, n=10, max_candidates=30, seed=5)
+        with pytest.raises(InsufficientTransferabilityError) as serial:
+            pm.verify_trigger_set(holdout, trained_source, ball, cfg)
+        forks = force_workers(2)
+        results = _fan_out([lambda: None, lambda: pm.verify_trigger_set(holdout, trained_source, ball, cfg)])
+        assert len(forks) == 1
+        next(results)
+        with pytest.raises(InsufficientTransferabilityError) as forked:
+            next(results)
+        assert str(forked.value) == str(serial.value)
+        assert forked.value.stats == serial.value.stats
+        got, want = forked.value.partial_set, serial.value.partial_set
+        assert got.n == want.n < 10
+        for name in ("xs", "y_star", "parents", "lam"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_interrupt_kills_and_reaps_the_children(self, force_workers):
+        forks = force_workers(3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _fan_out([_raise(KeyboardInterrupt()), lambda: time.sleep(60), lambda: time.sleep(60)])
+        assert len(forks) == 2
+        assert time.monotonic() - start < 30
+
+    def test_a_worker_that_dies_is_reported(self, force_workers):
+        forks = force_workers(2)
+        assert _workers(2) == 2  # the second call runs in a child, never here
+        with pytest.raises(ChildProcessError, match="without its results"):
+            _fan_out([lambda: 1, lambda: os._exit(7)])
+        assert len(forks) == 1
+
+    def test_no_fork_beside_a_running_thread(self, force_workers):
+        force_workers(4)
+        assert _workers(10) == 4 and _workers(3) == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _workers(10) == 1
+            forks = force_workers(4)
+            assert list(_fan_out([lambda: 1, lambda: 2])) == [1, 2]
+            assert forks == []
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -301,15 +301,17 @@ class TestIntegrityVerification:
         strict = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
         assert strict.stats.acceptance_rate <= plain.stats.acceptance_rate
 
-    def test_shortfall_message_states_funnel(self, pipeline):
+    @staticmethod
+    def _shortfall(pipeline, delta):
         # count the funnel of the per-candidate loop: pair draws through the
-        # last candidate consumed, candidates, and who vetoed each rejection
+        # last candidate consumed, candidates, and who vetoed each rejection;
+        # return it with the message of the integrity build that falls short
         _, train_data, holdout, source = pipeline
         complement = pm.train(
             source.spec, train_data.subset(range(0, train_data.n, 2)),
             pm.TrainConfig(epochs=60, seed=99),
         )
-        ball = ProxyBall(source, relative_delta(source, 0.3))
+        ball = ProxyBall(source, relative_delta(source, delta))
         cfg = VerifyConfig(m=8, n=20, max_candidates=40, seed=4)
         proxies = build_proxies(ball, cfg)
         feats, labels = holdout.features, holdout.labels
@@ -337,6 +339,20 @@ class TestIntegrityVerification:
             f"gave {funnel['candidates']} candidates, of which proxies vetoed "
             f"{funnel['proxy']} and complements {funnel['complement']};"
         )
+        return funnel, str(err.value)
+
+    def test_shortfall_message_states_funnel(self, pipeline):
+        # a wide ball: the proxies veto more than the complement
+        funnel, message = self._shortfall(pipeline, 0.3)
+        assert funnel["proxy"] > funnel["complement"]
+        assert message.endswith("; the ball is likely mis-sized")
+
+    def test_shortfall_hint_names_complements(self, pipeline):
+        # a tight ball: the complement, trained on half the source's data,
+        # vetoes more than the proxies, and the hint names it
+        funnel, message = self._shortfall(pipeline, 0.05)
+        assert funnel["complement"] > funnel["proxy"]
+        assert message.endswith("; the complements are likely too close to the source")
 
     def test_inside_ball_complement_rejected(self, pipeline):
         _, _, holdout, source = pipeline
