@@ -31,7 +31,6 @@ from .watermark import (
     save_trigger_set,
     trigger_candidate,
     verify_trigger_set,
-    verify_trigger_set_integrity,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "trigger_accuracy",
     "trigger_candidate",
     "verify_trigger_set",
-    "verify_trigger_set_integrity",
 ]
 
 __version__ = "0.1.0"

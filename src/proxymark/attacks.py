@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AttackFailedError, InputError, TrainingDivergedError
-from .nn import Model, ModelSpec, TrainConfig, _forward_cached, accuracy, fit, forward, predict, unpack
+from .nn import Model, ModelSpec, TrainConfig, _activate, accuracy, fit, forward, predict, unpack
 
 ATTACK_KINDS = ("soft_label", "hard_label", "rgt", "prune", "finetune")
 
@@ -55,7 +55,7 @@ def _check_dims(f: Model, cfg: AttackConfig) -> None:
         raise InputError("surrogate data dimension must match the source")
 
 
-def _run_fit(cfg: AttackConfig, labels, teacher, gamma) -> tuple[Model, list[float]]:
+def _run_fit(cfg: AttackConfig, labels, teacher=None, gamma=0.0, init=None) -> tuple[Model, list[float]]:
     try:
         return fit(
             cfg.surrogate_spec,
@@ -64,6 +64,7 @@ def _run_fit(cfg: AttackConfig, labels, teacher, gamma) -> tuple[Model, list[flo
             cfg.train,
             teacher_probs=teacher,
             gamma=gamma,
+            init=init,
         )
     except TrainingDivergedError as exc:
         raise AttackFailedError(str(exc)) from exc
@@ -89,12 +90,7 @@ def steal_hard(f: Model, cfg: AttackConfig) -> AttackResult:
         predict(f, cfg.surrogate_data.features),
         cfg.surrogate_spec.num_classes,
     )
-    surrogate, history = _run_fit(
-        AttackConfig("hard_label", cfg.surrogate_spec, relabeled, cfg.train),
-        relabeled.labels,
-        None,
-        0.0,
-    )
+    surrogate, history = _run_fit(cfg, relabeled.labels)
     return AttackResult(
         surrogate,
         accuracy(cfg.surrogate_data, surrogate),
@@ -120,9 +116,11 @@ def steal_rgt(f: Model, cfg: AttackConfig) -> AttackResult:
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     """Mean absolute post-activation per hidden neuron over the calibration set."""
-    _, _, post = _forward_cached(f, calibration.features)
-    # post[0] is the input; post[1:] are hidden activations
-    return [np.mean(np.abs(a), axis=0) for a in post[1:]]
+    a, activities = calibration.features, []
+    for w, b in unpack(f.spec, f.theta)[:-1]:
+        a = _activate(a @ w + b, f.spec.activation)
+        activities.append(np.mean(np.abs(a), axis=0))
+    return activities
 
 
 def prune(f: Model, cfg: AttackConfig, calibration: Dataset | None = None) -> AttackResult:
@@ -162,16 +160,7 @@ def finetune(f: Model, cfg: AttackConfig) -> AttackResult:
         raise InputError("config kind must be finetune")
     if cfg.surrogate_spec != f.spec:
         raise InputError("finetune keeps the source architecture")
-    try:
-        surrogate, history = fit(
-            f.spec,
-            cfg.surrogate_data.features,
-            cfg.surrogate_data.labels,
-            cfg.train,
-            init=f.theta.copy(),
-        )
-    except TrainingDivergedError as exc:
-        raise AttackFailedError(str(exc)) from exc
+    surrogate, history = _run_fit(cfg, cfg.surrogate_data.labels, init=f.theta.copy())
     return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history, cfg.train.seed)
 
 

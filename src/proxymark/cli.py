@@ -90,7 +90,6 @@ def cmd_verify(args) -> int:
     verdict, threshold = ownership_verdict(tacc, baseline, p_hat)
     report = VerificationReport(
         trigger_accuracy=tacc,
-        clean_accuracy=float("nan"),
         bound=TransferabilityBound(p_hat, alpha, lemma_bound(ts.n, alpha)),
         baseline_accuracy=baseline,
         baseline_kind="chance",

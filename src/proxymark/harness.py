@@ -48,7 +48,6 @@ from .watermark import (
     relative_delta,
     save_trigger_set,
     verify_trigger_set,
-    verify_trigger_set_integrity,
 )
 
 REPORT_HEADER = "role,attack,seed,clean_acc,trigger_acc,verdict"
@@ -275,14 +274,12 @@ def setup(cfg: ExperimentConfig) -> Setup:
     return Setup(data, train_data, holdout, spec, train_cfg, train(spec, train_data, train_cfg))
 
 
-def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] | None = None) -> TriggerSet:
+def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] = ()) -> TriggerSet:
     """The proxy-verified trigger set (seed tag 1); with complements, the
     integrity-enhanced one."""
     ball = make_ball(cfg, s.source, s.train_data)
     vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    if complements is None:
-        return verify_trigger_set(s.holdout, s.source, ball, vcfg)
-    return verify_trigger_set_integrity(s.holdout, s.source, ball, complements, vcfg)
+    return verify_trigger_set(s.holdout, s.source, ball, vcfg, complements)
 
 
 def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, int, str, Callable]]:

@@ -154,22 +154,6 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_cached(model: Model, x: np.ndarray):
-    """Forward pass keeping every layer's pre- and post-activations."""
-    layers = unpack(model.spec, model.theta)
-    act = model.spec.activation
-    a = x
-    pre, post = [], [x]
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        a = _activate(z.copy(), act)
-        pre.append(z)
-        post.append(a)
-    w, b = layers[-1]
-    logits = a @ w + b
-    return _softmax(logits), pre, post
-
-
 def stacked_forward(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities of k same-spec models on shared rows in one pass.
 
@@ -252,14 +236,6 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> float:
     probs *= 1.0 - gamma
     probs += kl_grad
     return gamma * kl_loss + (1.0 - gamma) * loss
-
-
-def _batch_ce_loss_grad(probs: np.ndarray, labels: np.ndarray):
-    return _loss_grad(probs, labels, None, 0.0), probs
-
-
-def _batch_kl_loss_grad(probs: np.ndarray, targets: np.ndarray):
-    return _loss_grad(probs, None, _teacher_terms(targets), 1.0), probs
 
 
 def _step(layers, glayers, act: str, x: np.ndarray, labels, teacher, gamma: float) -> float:

@@ -32,7 +32,6 @@ class Verdict(str, Enum):
 @dataclass
 class VerificationReport:
     trigger_accuracy: float
-    clean_accuracy: float
     bound: TransferabilityBound
     baseline_accuracy: float
     baseline_kind: str  # "independent-models" or "chance"
@@ -43,7 +42,6 @@ class VerificationReport:
         lines = [
             "ownership verification report",
             f"  trigger_accuracy:  {self.trigger_accuracy:.6f}",
-            f"  clean_accuracy:    {self.clean_accuracy:.6f}",
             f"  p_hat (CP lower):  {self.bound.p_hat:.6f} at alpha={self.bound.alpha}",
             f"  phi (set-level):   {self.bound.phi:.6f}",
             f"  baseline_accuracy: {self.baseline_accuracy:.6f} ({self.baseline_kind})",
@@ -56,7 +54,6 @@ class VerificationReport:
         return ",".join(
             [
                 repr(self.trigger_accuracy),
-                repr(self.clean_accuracy),
                 repr(self.bound.p_hat),
                 repr(self.bound.alpha),
                 repr(self.bound.phi),
@@ -68,7 +65,7 @@ class VerificationReport:
         )
 
     CSV_HEADER = (
-        "trigger_accuracy,clean_accuracy,p_hat,alpha,phi,"
+        "trigger_accuracy,p_hat,alpha,phi,"
         "baseline_accuracy,baseline_kind,threshold,verdict"
     )
 

@@ -195,23 +195,9 @@ def sample_proxy(ball: ProxyBall, rng: np.random.Generator) -> Model:
     )
 
 
-def _proxies(ball: ProxyBall, cfg: VerifyConfig):
-    for i in range(cfg.m):
-        yield sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i]))
-
-
 def build_proxies(ball: ProxyBall, cfg: VerifyConfig) -> list[Model]:
     """The frozen proxy list for a verification run; reconstructible from seeds."""
-    return list(_proxies(ball, cfg))
-
-
-def _stack(ball: ProxyBall, cfg: VerifyConfig) -> np.ndarray:
-    """build_proxies' parameters as one (m, P) block, filled a model at a time
-    so that the models never all exist at once."""
-    thetas = np.empty((cfg.m, ball.source.theta.size))
-    for i, proxy in enumerate(_proxies(ball, cfg)):
-        thetas[i] = proxy.theta
-    return thetas
+    return [sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.m)]
 
 
 def _collect(
@@ -305,28 +291,15 @@ def _collect(
 
 
 def verify_trigger_set(
-    holdout: Dataset, model: Model, ball: ProxyBall, cfg: VerifyConfig
+    holdout: Dataset, model: Model, ball: ProxyBall, cfg: VerifyConfig, complements: list[Model] = ()
 ) -> TriggerSet:
-    """Collect n candidates on which all m frozen proxies agree with y*."""
-    ts = _collect(holdout, model, _stack(ball, cfg), cfg)
-    ts.ball_params = ball.params() | {"m": cfg.m}
-    return ts
-
-
-def verify_trigger_set_integrity(
-    holdout: Dataset,
-    model: Model,
-    ball: ProxyBall,
-    complements: list[Model],
-    cfg: VerifyConfig,
-) -> TriggerSet:
-    """Verification that also demands every complement model disagrees with y*.
+    """Collect n candidates on which all m frozen proxies agree with y*; with
+    complements, the integrity-enhanced set, on which every complement also
+    disagrees with y*.
 
     Complements must lie outside the ball; weight distance is undefined across
     architectures, so differently-shaped models count as outside.
     """
-    if not complements:
-        raise InputError("need at least one complement model")
     for k, comp in enumerate(complements):
         if comp.spec == model.spec:
             dist = np.linalg.norm(comp.theta - model.theta)
@@ -334,8 +307,11 @@ def verify_trigger_set_integrity(
                 raise InputError(
                     f"complement {k} lies inside the ball (distance {dist:.4g} <= {ball.delta:.4g})"
                 )
-    ts = _collect(holdout, model, _stack(ball, cfg), cfg, complements)
-    ts.ball_params = ball.params() | {"m": cfg.m, "complements": len(complements)}
+    thetas = np.stack([p.theta for p in build_proxies(ball, cfg)])
+    ts = _collect(holdout, model, thetas, cfg, complements)
+    ts.ball_params = ball.params() | {"m": cfg.m}
+    if complements:
+        ts.ball_params["complements"] = len(complements)
     return ts
 
 

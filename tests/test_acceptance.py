@@ -140,11 +140,10 @@ def test_criterion_02_cp_coverage_monte_carlo():
 
 
 def _numeric_gradient(model, x, labels, eps=1e-6):
-    from proxymark.nn import _batch_ce_loss_grad, _forward_cached
+    from proxymark.nn import _loss_grad
 
     def loss_at(theta):
-        probs, _, _ = _forward_cached(pm.Model(model.spec, theta), x)
-        return _batch_ce_loss_grad(probs, labels)[0]
+        return _loss_grad(pm.forward(pm.Model(model.spec, theta), x), labels, None, 0.0)
 
     grad = np.zeros_like(model.theta)
     for i in range(model.theta.size):

@@ -261,18 +261,46 @@ class TestFanOut:
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
 
+def _spans():
+    """perfbench/spans.py, loaded read-only under a name of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _hooked(spans):
+    return {
+        (home, attr): getattr(importlib.import_module("proxymark" + (f".{home}" if home else "")), attr, None)
+        for _, attr, homes, _ in spans.HOOKS
+        for home in homes
+    }
+
+
 class TestBenchmarkHooks:
     def test_every_traced_name_resolves(self):
         # the benchmark's traced run wraps these names and exits 1 if one is gone
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
         missing = [
             f"proxymark{'.' + home if home else ''}.{attr}"
-            for _, attr, homes, _ in spans.HOOKS
-            for home in homes
-            if not hasattr(importlib.import_module("proxymark" + (f".{home}" if home else "")), attr)
+            for (home, attr), fn in _hooked(_spans()).items()
+            if fn is None
         ]
         assert missing == []
         assert {"run", "verify"} <= set(cli.COMMANDS)
+
+    def test_install_wraps_and_uninstall_restores(self):
+        # install exits on a missing hook; uninstall puts every original back
+        spans = _spans()
+        before, commands = _hooked(spans), dict(cli.COMMANDS)
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            during = _hooked(spans)
+            assert all(during[key] is not fn for key, fn in before.items())
+            assert all(cli.COMMANDS[c] is not commands[c] for c in ("run", "verify"))
+        finally:
+            tracer.uninstall()
+        after = _hooked(spans)
+        assert all(after[key] is fn for key, fn in before.items())
+        assert cli.COMMANDS == commands

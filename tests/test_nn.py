@@ -143,14 +143,13 @@ class TestLosses:
 
 
 def _numeric_gradient(model, x, targets, loss, eps=1e-6):
-    from proxymark.nn import _batch_ce_loss_grad, _batch_kl_loss_grad, _forward_cached
+    from proxymark.nn import _loss_grad, _teacher_terms
 
     def loss_at(theta):
-        probed = pm.Model(model.spec, theta)
-        probs, _, _ = _forward_cached(probed, x)
+        probs = pm.forward(pm.Model(model.spec, theta), x)
         if loss == "ce":
-            return _batch_ce_loss_grad(probs, targets)[0]
-        return _batch_kl_loss_grad(probs, targets)[0]
+            return _loss_grad(probs, targets, None, 0.0)
+        return _loss_grad(probs, None, _teacher_terms(targets), 1.0)
 
     grad = np.zeros_like(model.theta)
     for i in range(model.theta.size):
@@ -512,6 +511,24 @@ class TestFitEquivalence:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as caught:
             fit(spec, x, labels, cfg)
         assert str(caught.value) == want
+
+
+class TestNeuronActivity:
+    """The pruning attack's activities equal the reference forward's hidden
+    post-activations, averaged in absolute value, bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equal_to_reference_forward(self, activation):
+        from proxymark.attacks import neuron_activity
+
+        spec = pm.ModelSpec(3, (8, 5), 4, activation)
+        model = Model(spec, np.random.default_rng(4).normal(size=spec.num_params))  # non-zero biases
+        data = pm.Dataset(np.random.default_rng(5).normal(size=(40, 3)), np.arange(40) % 4, 4)
+        _, _, post = _ref_forward_cached(model, data.features)
+        got = neuron_activity(model, data)
+        assert [a.shape for a in got] == [(8,), (5,)]
+        for a, ref in zip(got, post[1:]):
+            assert a.tobytes() == np.mean(np.abs(ref), axis=0).tobytes()
 
 
 class TestCheckpoint:

@@ -285,7 +285,7 @@ class TestIntegrityVerification:
         )
         ball = ProxyBall(source, relative_delta(source, 0.05))
         cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
-        ts = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+        ts = pm.verify_trigger_set(holdout, source, ball, cfg, [complement])
         assert np.all(pm.predict(complement, ts.xs) != ts.y_star)
         assert pm.trigger_accuracy(ts, complement) == 0.0
 
@@ -298,7 +298,7 @@ class TestIntegrityVerification:
         ball = ProxyBall(source, relative_delta(source, 0.05))
         cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
         plain = pm.verify_trigger_set(holdout, source, ball, cfg)
-        strict = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+        strict = pm.verify_trigger_set(holdout, source, ball, cfg, [complement])
         assert strict.stats.acceptance_rate <= plain.stats.acceptance_rate
 
     @staticmethod
@@ -333,7 +333,7 @@ class TestIntegrityVerification:
                 break
         assert funnel["accepted"] < cfg.n and funnel["proxy"] and funnel["complement"]
         with pytest.raises(InsufficientTransferabilityError) as err:
-            pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+            pm.verify_trigger_set(holdout, source, ball, cfg, [complement])
         assert str(err.value).startswith(
             f"accepted only {funnel['accepted']} of {cfg.n}: {funnel['draws']} pair draws "
             f"gave {funnel['candidates']} candidates, of which proxies vetoed "
@@ -359,9 +359,7 @@ class TestIntegrityVerification:
         ball = ProxyBall(source, relative_delta(source, 0.05))
         near_copy = source.copy()
         with pytest.raises(InputError):
-            pm.verify_trigger_set_integrity(
-                holdout, source, ball, [near_copy], VerifyConfig(m=4, n=4, seed=0)
-            )
+            pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=4, seed=0), [near_copy])
 
     def test_different_architecture_counts_as_outside(self, pipeline):
         _, train_data, holdout, source = pipeline
@@ -369,16 +367,24 @@ class TestIntegrityVerification:
             pm.ModelSpec(2, (8,), 4), train_data, pm.TrainConfig(epochs=40, seed=1)
         )
         ball = ProxyBall(source, relative_delta(source, 0.05))
-        ts = pm.verify_trigger_set_integrity(
-            holdout, source, ball, [other], VerifyConfig(m=4, n=4, max_candidates=5000, seed=0)
+        ts = pm.verify_trigger_set(
+            holdout, source, ball, VerifyConfig(m=4, n=4, max_candidates=5000, seed=0), [other]
         )
         assert ts.n == 4
+        assert ts.ball_params == ball.params() | {"m": 4, "complements": 1}
 
-    def test_empty_complements_rejected(self, pipeline):
+    def test_empty_complements_equal_plain(self, pipeline):
+        # no complements is the plain build: the same arrays, the same manifest
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.05))
-        with pytest.raises(InputError):
-            pm.verify_trigger_set_integrity(holdout, source, ball, [], VerifyConfig())
+        cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
+        plain = pm.verify_trigger_set(holdout, source, ball, cfg)
+        empty = pm.verify_trigger_set(holdout, source, ball, cfg, complements=[])
+        for a, b in ((plain.xs, empty.xs), (plain.y_star, empty.y_star),
+                     (plain.parents, empty.parents), (plain.lam, empty.lam)):
+            assert np.array_equal(a, b)
+        assert empty.ball_params == plain.ball_params == ball.params() | {"m": 8}
+        assert empty.stats == plain.stats
 
 
 class TestSerialization:
@@ -598,7 +604,7 @@ class TestEngineEquivalence:
         ball = ProxyBall(source, relative_delta(source, 0.05))
         cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
         proxies = build_proxies(ball, cfg)
-        ts = pm.verify_trigger_set_integrity(holdout, source, ball, [complement], cfg)
+        ts = pm.verify_trigger_set(holdout, source, ball, cfg, [complement])
         assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg, [complement]))
         assert_scores_one(ts, source, proxies)
 
