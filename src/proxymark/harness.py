@@ -15,6 +15,7 @@ This derivation is documented here and must stay stable across versions.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -160,89 +161,88 @@ def _workers(count: int) -> int:
     """One worker per CPU this process may run on, at most one per call. A
     process that already runs a second thread does not fork: that thread may
     hold a lock at the fork, and the child would find it held for ever."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    needs = ("fork", "sched_getaffinity", "memfd_create")
+    if threading.active_count() > 1 or not all(hasattr(os, name) for name in needs):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), count))
 
 
-def _run_share(calls: list[Callable]) -> tuple[list, Exception | None]:
-    """Run the calls in order; stop at the first that raises and return it
-    with the results before it."""
-    results = []
-    for call in calls:
+def _pull(calls: list[Callable], queue: io.RawIOBase | io.BytesIO) -> dict:
+    """Run the call at each index read from the queue, up to one that raises."""
+    outcomes = {}
+    while len(word := queue.read(4)) == 4:
+        i = int.from_bytes(word, "little")
         try:
-            results.append(call())
+            outcomes[i] = True, calls[i]()
         except Exception as exc:  # handed to the caller of _fan_out, at its index
-            return results, exc
-    return results, None
+            outcomes[i] = False, exc
+            break
+    return outcomes
 
 
 def _fan_out(calls: list[Callable]) -> Iterator:
     """Run zero-argument calls over forked workers; return an iterator of
     their results in call order.
 
-    With w workers, this process runs calls[0::w] and child k runs
-    calls[k::w], pickling its results and the exception that stopped it into
-    a pipe. The iterator raises the failure of the lowest index in place of
-    that call's result, so a caller that writes as it goes leaves what a
-    serial loop leaves. No child outlives this call: an interrupted call kills
-    the children, and every path reaps them.
+    Workers (this process and each forked child) take the next index from a
+    memory file whose offset they share, 4 bytes a read, until it is read out
+    or their own call raises. The iterator raises the lowest-index failure in
+    place of its result, so a caller that writes as it goes leaves what a
+    serial loop leaves. Every path reaps the children; an interrupt kills them.
     """
     workers = _workers(len(calls))
+    queue = io.BytesIO() if workers == 1 else open(os.memfd_create("fan_out"), "w+b", buffering=0)
     pids: list[int] = []
     reads: list[int] = []
     payloads = None
     try:
-        for k in range(1, workers):
+        queue.write(b"".join(i.to_bytes(4, "little") for i in range(len(calls))))
+        queue.seek(0)
+        for _ in range(1, workers):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(calls[k::workers], read, write)
+                    _child(calls, queue, read, write)
             finally:
                 os.close(write)
             pids.append(pid)
-        own = _run_share(calls[::workers])
-        payloads = [_read_all(read) for read in reads]
+        outcomes = _pull(calls, queue)
+        payloads = [open(read, "rb", closefd=False).read() for read in reads]
     finally:
+        queue.close()
         for read in reads:
             os.close(read)
-        codes = []
-        for pid in pids:
-            if payloads is None:
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        for pid in pids if payloads is None else ():
+            os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise ChildProcessError(f"a worker process ended without its results (exit codes {codes})")
-    shares = [own] + [pickle.loads(p) for p in payloads]
+    for payload in payloads:
+        outcomes.update(pickle.loads(payload))
 
     def in_order():
         for i in range(len(calls)):
-            results, exc = shares[i % workers]
-            if i // workers == len(results):
-                raise exc
-            yield results[i // workers]
+            ok, value = outcomes[i]
+            if not ok:
+                raise value
+            yield value
 
     return in_order()
 
 
-def _child(calls: list[Callable], read: int, write: int) -> None:
-    """A forked worker: run its share, pickle it into the pipe, and leave
-    without returning into the parent's stack or flushing its buffers."""
+def _child(calls: list[Callable], queue: io.RawIOBase, read: int, write: int) -> None:
+    """A forked worker: pull calls, pickle their outcomes into the pipe, and
+    leave without returning into the parent's stack or flushing its buffers."""
     code = 1
     try:
         os.close(read)
         with open(write, "wb", closefd=False) as pipe:
-            pickle.dump(_run_share(calls), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_pull(calls, queue), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
 
 
 # Pipeline stages, shared by run_experiment and the CLI commands. Each calls the

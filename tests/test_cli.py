@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +307,14 @@ class TestBenchmarkHooks:
         after = _hooked(spans)
         assert all(after[key] is fn for key, fn in before.items())
         assert cli.COMMANDS == commands
+
+    def test_cli_import_loads_no_process_pool(self):
+        # a fresh-process `verify` (cli_verify_s) pays for every module that
+        # `import proxymark.cli` loads
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, proxymark.cli; "
+                "print({'multiprocessing', 'concurrent.futures'} & set(sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "set()"

@@ -2,8 +2,12 @@
 
 import json
 import os
+import select
+import signal
 import threading
 import time
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +330,39 @@ def _raise(exc: Exception):
     return call
 
 
+@pytest.fixture
+def pipes():
+    """pipes() opens a pipe; every pipe it opened is closed after the test."""
+    opened = []
+
+    def pipe() -> tuple[int, int]:
+        opened.append(os.pipe())
+        return opened[-1]
+    yield pipe
+    for fds in opened:
+        for fd in fds:
+            os.close(fd)
+
+
+def _ready(fd: int) -> None:
+    assert select.select([fd], [], [], 30)[0], "nothing to read after 30 s"
+
+
+def _in_the_child(body: Callable, pipe: tuple[int, int]) -> list[Callable]:
+    """Two calls for a fan-out over 2 workers that run body() in the child:
+    in this process a call waits until the child has taken the other call,
+    and returns None."""
+    me, (read, write) = os.getpid(), pipe
+
+    def call():
+        if os.getpid() == me:
+            _ready(read)
+            return None
+        os.write(write, b"x")
+        return body()
+    return [call, call]
+
+
 class TestFanOut:
     @pytest.mark.parametrize(
         "name, seed",
@@ -367,7 +404,6 @@ class TestFanOut:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_lowest_index_failure_is_raised_in_order(self, force_workers, workers):
-        # with 3 workers call 1 fails in a child and call 3 in this process
         forks = force_workers(workers)
         calls = [lambda: "r0", _raise(ValueError("first")), lambda: "r2", _raise(ValueError("second"))]
         results = _fan_out(calls)
@@ -377,18 +413,18 @@ class TestFanOut:
             next(results)
         assert [r for r in _fan_out([lambda i=i: i * i for i in range(7)])] == [i * i for i in range(7)]
 
-    def test_child_error_keeps_its_attributes(self, force_workers, blob_split, trained_source):
+    def test_child_error_keeps_its_attributes(self, force_workers, pipes, blob_split, trained_source):
         _, holdout = blob_split
         ball = ProxyBall(trained_source, relative_delta(trained_source, 10.0))
         cfg = VerifyConfig(m=16, n=10, max_candidates=30, seed=5)
         with pytest.raises(InsufficientTransferabilityError) as serial:
             pm.verify_trigger_set(holdout, trained_source, ball, cfg)
         forks = force_workers(2)
-        results = _fan_out([lambda: None, lambda: pm.verify_trigger_set(holdout, trained_source, ball, cfg)])
+        build = partial(pm.verify_trigger_set, holdout, trained_source, ball, cfg)
+        results = _fan_out(_in_the_child(build, pipes()))
         assert len(forks) == 1
-        next(results)
         with pytest.raises(InsufficientTransferabilityError) as forked:
-            next(results)
+            list(results)
         assert str(forked.value) == str(serial.value)
         assert forked.value.stats == serial.value.stats
         got, want = forked.value.partial_set, serial.value.partial_set
@@ -397,19 +433,76 @@ class TestFanOut:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_interrupt_kills_and_reaps_the_children(self, force_workers):
+        # the timer interrupts this process only: a forked child does not inherit it
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
         forks = force_workers(3)
+        previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            _fan_out([_raise(KeyboardInterrupt()), lambda: time.sleep(60), lambda: time.sleep(60)])
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                _fan_out([lambda: time.sleep(60)] * 3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 2
         assert time.monotonic() - start < 30
 
-    def test_a_worker_that_dies_is_reported(self, force_workers):
+    def test_a_worker_that_dies_is_reported(self, force_workers, pipes):
         forks = force_workers(2)
-        assert _workers(2) == 2  # the second call runs in a child, never here
+        assert _workers(2) == 2
         with pytest.raises(ChildProcessError, match="without its results"):
-            _fan_out([lambda: 1, lambda: os._exit(7)])
+            _fan_out(_in_the_child(lambda: os._exit(7), pipes()))
         assert len(forks) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_slow_call_holds_up_no_other(self, force_workers, workers):
+        # the worker that takes the slow call runs no other: the rest pull the quick ones
+        def slow():
+            time.sleep(0.5)
+            return os.getpid()
+
+        forks = force_workers(workers)
+        pids = list(_fan_out([slow] + [os.getpid] * 20))
+        assert len(forks) == workers - 1
+        assert pids.count(pids[0]) == (21 if workers == 1 else 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_more_calls_than_a_pipe_holds_come_back_in_order(self, force_workers, workers):
+        # 20 000 indices of 4 bytes are more than a 64 KiB pipe buffer holds
+        forks = force_workers(workers)
+        assert list(_fan_out([partial(int, i) for i in range(20_000)])) == list(range(20_000))
+        assert len(forks) == workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failure_a_child_pulls_comes_after_every_result_before_it(self, force_workers, pipes, workers):
+        # a child's call waits until this process is inside a call, and that
+        # call waits until call 5 has failed: so this process holds an index
+        # below 5 and a child takes call 5 (with one worker, this process does)
+        me = os.getpid()
+        (inside, mark_inside), (failed, mark_failed) = pipes(), pipes()
+
+        def call(i):
+            if os.getpid() == me:
+                os.write(mark_inside, b"x")
+                if workers > 1:
+                    _ready(failed)
+            else:
+                _ready(inside)
+            if i == 5:
+                os.write(mark_failed, b"x")
+                raise ValueError(f"call 5 failed in {os.getpid()}")
+            return i
+
+        forks = force_workers(workers)
+        results = _fan_out([partial(call, i) for i in range(12)])
+        assert len(forks) == workers - 1
+        assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+        with pytest.raises(ValueError, match="call 5 failed") as err:
+            next(results)
+        assert (str(err.value) == f"call 5 failed in {me}") == (workers == 1)
 
     def test_no_fork_beside_a_running_thread(self, force_workers):
         force_workers(4)
