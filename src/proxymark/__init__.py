@@ -6,10 +6,8 @@ from .nn import (
     ModelSpec,
     TrainConfig,
     accuracy,
-    cross_entropy,
     forward,
     gradients,
-    kl_divergence,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -44,10 +42,8 @@ __all__ = [
     "VerifyConfig",
     "accuracy",
     "clopper_pearson_lower",
-    "cross_entropy",
     "forward",
     "gradients",
-    "kl_divergence",
     "lemma_bound",
     "load_checkpoint",
     "load_csv",

@@ -29,14 +29,19 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise InputError(f"unknown attack kind {self.kind!r}")
-        if (self.gamma is not None) != (self.kind == "rgt"):
-            raise InputError("gamma is required for rgt and forbidden otherwise")
-        if self.gamma is not None and not (0.0 <= self.gamma <= 1.0):
-            raise InputError("gamma must be in [0, 1]")
-        if (self.prune_ratio is not None) != (self.kind == "prune"):
-            raise InputError("prune_ratio is required for prune and forbidden otherwise")
-        if self.prune_ratio is not None and not (0.0 <= self.prune_ratio < 1.0):
-            raise InputError("prune_ratio must be in [0, 1)")
+        check_params(self.kind, self.gamma, self.prune_ratio)
+
+
+def check_params(kind: str, gamma: float | None, prune_ratio: float | None) -> None:
+    """gamma only for rgt and prune_ratio only for prune, each within its range."""
+    if (gamma is not None) != (kind == "rgt"):
+        raise InputError("gamma is required for rgt and forbidden otherwise")
+    if gamma is not None and not (0.0 <= gamma <= 1.0):
+        raise InputError("gamma must be in [0, 1]")
+    if (prune_ratio is not None) != (kind == "prune"):
+        raise InputError("prune_ratio is required for prune and forbidden otherwise")
+    if prune_ratio is not None and not (0.0 <= prune_ratio < 1.0):
+        raise InputError("prune_ratio must be in [0, 1)")
 
 
 @dataclass
@@ -44,8 +49,6 @@ class AttackResult:
     surrogate: Model
     clean_accuracy: float
     loss_history: list[float]
-    attack_seed: int
-    relabeled_data: Dataset | None = None  # hard-label attack only
 
 
 def _check_dims(f: Model, cfg: AttackConfig) -> None:
@@ -55,9 +58,9 @@ def _check_dims(f: Model, cfg: AttackConfig) -> None:
         raise InputError("surrogate data dimension must match the source")
 
 
-def _run_fit(cfg: AttackConfig, labels, teacher=None, gamma=0.0, init=None) -> tuple[Model, list[float]]:
+def _run_fit(cfg: AttackConfig, labels, teacher=None, gamma=0.0, init=None) -> AttackResult:
     try:
-        return fit(
+        surrogate, history = fit(
             cfg.surrogate_spec,
             cfg.surrogate_data.features,
             labels,
@@ -68,6 +71,7 @@ def _run_fit(cfg: AttackConfig, labels, teacher=None, gamma=0.0, init=None) -> t
         )
     except TrainingDivergedError as exc:
         raise AttackFailedError(str(exc)) from exc
+    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history)
 
 
 def steal_soft(f: Model, cfg: AttackConfig) -> AttackResult:
@@ -75,9 +79,7 @@ def steal_soft(f: Model, cfg: AttackConfig) -> AttackResult:
     if cfg.kind != "soft_label":
         raise InputError("config kind must be soft_label")
     _check_dims(f, cfg)
-    teacher = forward(f, cfg.surrogate_data.features)
-    surrogate, history = _run_fit(cfg, None, teacher, 1.0)
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history, cfg.train.seed)
+    return _run_fit(cfg, None, forward(f, cfg.surrogate_data.features), 1.0)
 
 
 def steal_hard(f: Model, cfg: AttackConfig) -> AttackResult:
@@ -85,19 +87,7 @@ def steal_hard(f: Model, cfg: AttackConfig) -> AttackResult:
     if cfg.kind != "hard_label":
         raise InputError("config kind must be hard_label")
     _check_dims(f, cfg)
-    relabeled = Dataset(
-        cfg.surrogate_data.features,
-        predict(f, cfg.surrogate_data.features),
-        cfg.surrogate_spec.num_classes,
-    )
-    surrogate, history = _run_fit(cfg, relabeled.labels)
-    return AttackResult(
-        surrogate,
-        accuracy(cfg.surrogate_data, surrogate),
-        history,
-        cfg.train.seed,
-        relabeled_data=relabeled,
-    )
+    return _run_fit(cfg, predict(f, cfg.surrogate_data.features))
 
 
 def steal_rgt(f: Model, cfg: AttackConfig) -> AttackResult:
@@ -110,8 +100,7 @@ def steal_rgt(f: Model, cfg: AttackConfig) -> AttackResult:
         raise InputError("config kind must be rgt")
     _check_dims(f, cfg)
     teacher = forward(f, cfg.surrogate_data.features)
-    surrogate, history = _run_fit(cfg, cfg.surrogate_data.labels, teacher, cfg.gamma)
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history, cfg.train.seed)
+    return _run_fit(cfg, cfg.surrogate_data.labels, teacher, cfg.gamma)
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
@@ -123,7 +112,7 @@ def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     return activities
 
 
-def prune(f: Model, cfg: AttackConfig, calibration: Dataset | None = None) -> AttackResult:
+def prune(f: Model, cfg: AttackConfig) -> AttackResult:
     """Zero out the least active floor(ratio * width) neurons per hidden layer.
 
     Structural zeroing only, no retraining: a cut neuron loses its incoming
@@ -133,12 +122,10 @@ def prune(f: Model, cfg: AttackConfig, calibration: Dataset | None = None) -> At
         raise InputError("config kind must be prune")
     if cfg.surrogate_spec != f.spec:
         raise InputError("pruning keeps the source architecture")
-    if calibration is None:
-        calibration = cfg.surrogate_data
     ratio = cfg.prune_ratio
     theta = f.theta.copy()
     layers = unpack(f.spec, theta)
-    activities = neuron_activity(f, calibration)
+    activities = neuron_activity(f, cfg.surrogate_data)
     for li, width in enumerate(f.spec.hidden_layers):
         k = int(ratio * width)
         if k == 0:
@@ -151,7 +138,7 @@ def prune(f: Model, cfg: AttackConfig, calibration: Dataset | None = None) -> At
         w_out, _ = layers[li + 1]
         w_out[cut, :] = 0.0
     surrogate = Model(f.spec, theta)
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), [], cfg.train.seed)
+    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), [])
 
 
 def finetune(f: Model, cfg: AttackConfig) -> AttackResult:
@@ -160,8 +147,7 @@ def finetune(f: Model, cfg: AttackConfig) -> AttackResult:
         raise InputError("config kind must be finetune")
     if cfg.surrogate_spec != f.spec:
         raise InputError("finetune keeps the source architecture")
-    surrogate, history = _run_fit(cfg, cfg.surrogate_data.labels, init=f.theta.copy())
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history, cfg.train.seed)
+    return _run_fit(cfg, cfg.surrogate_data.labels, init=f.theta.copy())
 
 
 def run_attack(f: Model, cfg: AttackConfig) -> AttackResult:

@@ -18,8 +18,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .attacks import ATTACK_KINDS
-from .errors import ConfigError
+from .attacks import ATTACK_KINDS, check_params
+from .errors import ConfigError, InputError
 from .nn import ACTIVATIONS
 
 DELTA_MODES = ("relative", "absolute")
@@ -105,6 +105,10 @@ class AttackBlock:
 
     def __post_init__(self):
         _check_choice(self.kind, ATTACK_KINDS, "attacks.kind")
+        try:
+            check_params(self.kind, self.gamma, self.prune_ratio)
+        except InputError as exc:
+            raise ConfigError(f"attacks ({self.kind}): {exc}") from exc
         if self.activation is not None:
             _check_choice(self.activation, ACTIVATIONS, f"attacks ({self.kind}).activation")
 

@@ -113,7 +113,7 @@ def save_csv(data: Dataset, path) -> None:
             fh.write(f"{y + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def load_csv(path, num_classes: int | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -140,6 +140,4 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         rows.append(row)
     if not rows:
         raise DatasetParseError("no rows", line=1)
-    labels = np.asarray(labels, dtype=np.int64)
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, k)
+    return Dataset(np.asarray(rows, dtype=np.float64), labels, max(labels) + 1)

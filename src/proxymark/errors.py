@@ -52,10 +52,6 @@ class CheckpointFormatError(ProxymarkError):
     """Bad magic, truncated payload, or unsupported checkpoint version."""
 
 
-class SpecMismatchError(ProxymarkError):
-    """Loaded checkpoint does not match the expected architecture."""
-
-
 class ConfigError(ProxymarkError):
     """Invalid or unknown experiment configuration key/value."""
 

@@ -128,13 +128,12 @@ def attack_config(
 
 
 def train_independent(
-    spec: ModelSpec, data: Dataset, subset_fraction: float, seed: int,
-    train_cfg: TrainConfig | None = None,
+    spec: ModelSpec, data: Dataset, subset_fraction: float, seed: int, train_cfg: TrainConfig
 ) -> Model:
     """Train on a seeded random subset; fraction 1.0 shares the plain path."""
     if not (0.0 < subset_fraction <= 1.0):
         raise InputError("subset_fraction must be in (0, 1]")
-    cfg = replace(train_cfg, seed=seed) if train_cfg is not None else TrainConfig(seed=seed)
+    cfg = replace(train_cfg, seed=seed)
     if subset_fraction < 1.0:
         size = int(subset_fraction * data.n)
         if size == 0:
@@ -363,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     prune_curve: list[tuple[float, float, float]] = []
     for block, seed, path, result in _save_surrogates(attacks, results, ckpt_dir):
         rows.append(row("surrogate", block.kind, seed, result.surrogate))
-        _write_attack_manifest(path.with_suffix(".json"), block, result)
+        _write_attack_manifest(path.with_suffix(".json"), block, seed, result)
         if block.kind == "prune":
             prune_curve.append((block.prune_ratio, rows[-1].clean_acc, rows[-1].trigger_acc))
     rows += [row("independent", "-", seed, g) for seed, g in independents]
@@ -385,11 +384,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     return report
 
 
-def _write_attack_manifest(path: Path, block: AttackBlock, result: atk.AttackResult) -> None:
+def _write_attack_manifest(path: Path, block: AttackBlock, seed: int, result: atk.AttackResult) -> None:
     manifest = {
         "kind": block.kind,
         "hyperparameters": {k: v for k, v in _given(block).items() if k != "kind"},
-        "seed": result.attack_seed,
+        "seed": seed,
         "clean_accuracy": result.clean_accuracy,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")

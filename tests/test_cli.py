@@ -55,6 +55,9 @@ class TestExitCodes:
             ("repeats: 1", "repeats: x"),
             ("kind: soft_label", "kind: distill"),
             ("kind: soft_label", "kind: soft_label, activation: gelu"),
+            ("kind: soft_label}", "kind: soft_label}\n  - {kind: rgt}"),  # before soft_label runs
+            ("kind: soft_label", "kind: soft_label, gamma: 0.5"),
+            ("kind: soft_label", "kind: prune, prune_ratio: 1.0"),
         ],
     )
     def test_bad_config_value_is_2(self, config_file, capsys, old, new):
@@ -243,14 +246,19 @@ class TestFanOut:
         assert code == EXIT_OK and len(files) == 3
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
-    @pytest.mark.parametrize("command", ["attack", "run"])
-    def test_diverging_attack_exits_3_at_any_worker_count(self, config_file, tmp_path, capsys,
-                                                          force_workers, command):
-        path, _ = config_file
+    @staticmethod
+    def _diverging(path):
+        """Make the config's second attack, a finetune run twice, diverge."""
         text = path.read_text().replace(
             "  - {kind: soft_label}", "  - {kind: soft_label}\n  - {kind: finetune, learning_rate: 10000.0}"
         )
         path.write_text(text.replace("repeats: 1", "repeats: 2"))
+
+    @pytest.mark.parametrize("command", ["attack", "run"])
+    def test_diverging_attack_exits_3_at_any_worker_count(self, config_file, tmp_path, capsys,
+                                                          force_workers, command):
+        path, _ = config_file
+        self._diverging(path)
         outcomes = {}
         for workers in (1, 2, 3):
             force_workers(workers)
@@ -261,6 +269,28 @@ class TestFanOut:
         assert f"experiment error ({command}): loss became nan" in err
         assert any("soft_label" in name for name in files)
         assert not any("finetune" in name for name in files)
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+
+    @pytest.mark.parametrize("command", ["attack", "run"])
+    def test_diverging_attack_prints_the_same_in_fresh_interpreters(self, config_file, tmp_path,
+                                                                    command):
+        # outside pytest's warning capture, where a warning prints once in each
+        # process that meets it, so a count that follows the workers would show
+        path, _ = config_file
+        self._diverging(path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outcomes = {}
+        for workers in (1, 2, 3):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / str(workers))]
+            code = (f"import sys, proxymark.harness as h; h._workers = lambda n: min(n, {workers}); "
+                    f"from proxymark.cli import main; sys.exit(main({argv!r}))")
+            done = subprocess.run([sys.executable, "-W", "default", "-c", code], env=env,
+                                  capture_output=True, text=True)
+            outcomes[workers] = done.returncode, done.stdout, done.stderr
+        code, _, err = outcomes[1]
+        assert code == EXIT_EXPERIMENT
+        assert f"experiment error ({command}): loss became nan" in err
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
 

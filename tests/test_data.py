@@ -152,9 +152,3 @@ class TestCsv:
         path.write_text("label,x1\n1,0.0\n")
         with pytest.raises(DatasetParseError):
             pm.load_csv(path)
-
-    def test_num_classes_override(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("y,x1\n1,0.0\n2,1.0\n")
-        loaded = pm.load_csv(path, num_classes=5)
-        assert loaded.num_classes == 5

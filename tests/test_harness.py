@@ -136,6 +136,12 @@ class TestConfigParsing:
             ({"seed": True}, "seed: expected int"),
             ({"attacks": [{"kind": "distill"}]}, "unknown 'distill'"),
             ({"attacks": [{"kind": "finetune", "activation": "gelu"}]}, "unknown 'gelu'"),
+            ({"attacks": [{"kind": "rgt"}]}, r"attacks \(rgt\): gamma is required for rgt"),
+            ({"attacks": [{"kind": "rgt", "gamma": 1.5}]}, r"attacks \(rgt\): gamma must be in"),
+            ({"attacks": [{"kind": "soft_label", "gamma": 0.5}]}, r"\(soft_label\): gamma .*forbidden"),
+            ({"attacks": [{"kind": "prune"}]}, r"attacks \(prune\): prune_ratio is required"),
+            ({"attacks": [{"kind": "prune", "prune_ratio": 1}]}, r"prune_ratio must be in \[0, 1\)"),
+            ({"attacks": [{"kind": "finetune", "prune_ratio": 0.3}]}, r"\(finetune\): prune_ratio"),
             ({"source": {"model": {"activation": "gelu"}}}, "unknown 'gelu'"),
             ({"attacks": [{"gamma": 0.5}]}, r"attacks\[0\]: missing kind"),
             ({"attacks": {"kind": "prune"}}, "attacks: expected a list"),
@@ -296,8 +302,8 @@ class TestTrainIndependent:
         from proxymark.harness import train_independent
 
         train_data, _ = blob_split
-        a = train_independent(small_spec, train_data, 0.5, 3)
-        b = train_independent(small_spec, train_data, 0.5, 3)
+        a = train_independent(small_spec, train_data, 0.5, 3, pm.TrainConfig())
+        b = train_independent(small_spec, train_data, 0.5, 3, pm.TrainConfig())
         assert np.array_equal(a.theta, b.theta)
 
     def test_bad_fraction(self, blob_split, small_spec):
@@ -306,9 +312,9 @@ class TestTrainIndependent:
 
         train_data, _ = blob_split
         with pytest.raises(InputError):
-            train_independent(small_spec, train_data, 0.0, 3)
+            train_independent(small_spec, train_data, 0.0, 3, pm.TrainConfig())
         with pytest.raises(InputError):
-            train_independent(small_spec, train_data, 1.5, 3)
+            train_independent(small_spec, train_data, 1.5, 3, pm.TrainConfig())
 
 
 def _tree(root: Path) -> dict[str, bytes]:

@@ -9,7 +9,6 @@ import proxymark as pm
 from proxymark.errors import (
     CheckpointFormatError,
     InputError,
-    SpecMismatchError,
     TrainingDivergedError,
 )
 from proxymark.nn import (
@@ -117,31 +116,6 @@ class TestForward:
         assert probs[0] == pytest.approx(1.0)
 
 
-class TestLosses:
-    def test_cross_entropy_matches_log(self):
-        assert pm.cross_entropy([0.5, 0.25, 0.25], 1) == pytest.approx(np.log(4))
-
-    def test_cross_entropy_clamped(self):
-        val = pm.cross_entropy([1.0, 0.0, 0.0], 1)
-        assert np.isfinite(val)
-        assert val == pytest.approx(-np.log(1e-12))
-
-    def test_kl_zero_when_equal(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert pm.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_kl_zero_times_log_zero(self):
-        assert np.isfinite(pm.kl_divergence([0.0, 1.0], [0.5, 0.5]))
-
-    @given(seed=st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_kl_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4))
-        assert pm.kl_divergence(p, q) >= -1e-12
-
-
 def _numeric_gradient(model, x, targets, loss, eps=1e-6):
     from proxymark.nn import _loss_grad, _teacher_terms
 
@@ -207,6 +181,13 @@ class TestFit:
         with pytest.raises(InputError, match="teacher_probs"):
             fit(small_spec, train_data.features, None, pm.TrainConfig(epochs=1),
                 teacher_probs=short, gamma=1.0)
+
+    def test_non_finite_parameters_raise(self, blob_split, small_spec):
+        # the one step's loss is finite; its update overflows the parameters
+        train_data, _ = blob_split
+        cfg = pm.TrainConfig(epochs=1, learning_rate=1e305, seed=0)
+        with pytest.raises(TrainingDivergedError, match="parameters became non-finite"):
+            fit(small_spec, 1e6 * train_data.features, train_data.labels, cfg)
 
     def test_training_reduces_loss(self, blob_split, small_spec):
         train_data, _ = blob_split
@@ -561,13 +542,6 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointFormatError):
             pm.load_checkpoint(path)
-
-    def test_spec_mismatch(self, trained_source, tmp_path):
-        path = tmp_path / "model.ckpt"
-        pm.save_checkpoint(trained_source, path)
-        other = pm.ModelSpec(2, (8,), 4)
-        with pytest.raises(SpecMismatchError):
-            pm.load_checkpoint(path, expected_spec=other)
 
     def test_fingerprint_tracks_weights(self, trained_source):
         fp = fingerprint(trained_source)
