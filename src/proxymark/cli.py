@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ProxymarkError
-from .harness import build_trigger_set, derive_seed, run_attacks, run_experiment, setup, train_independent
 from .nn import accuracy, load_checkpoint, save_checkpoint
 from .stats import (
     TransferabilityBound,
@@ -34,10 +33,35 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EXPERIMENT = 3
 
+# Names from config and harness (which loads attacks). `verify` uses none of
+# them, so they load on first use: from _load, which every other command calls
+# first, or from __getattr__ for a reader outside this module. setdefault keeps
+# a wrapper already set on cli.<name>.
+_RUN_SIDE = {
+    "config": ("ExperimentConfig", "load_config"),
+    "harness": ("build_trigger_set", "derive_seed", "run_attacks", "run_experiment", "setup",
+                "train_independent"),
+}
+
+
+def _bind_run_side() -> None:
+    for module, names in _RUN_SIDE.items():
+        module = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _RUN_SIDE.values()):
+        _bind_run_side()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _load(args) -> tuple[ExperimentConfig, Path]:
     """The command's config with its --seed/--out overrides, and its output
     directory (created)."""
+    _bind_run_side()
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .attacks import ATTACK_KINDS, check_params
 from .errors import ConfigError, InputError
-from .nn import ACTIVATIONS
+from .nn import ACTIVATIONS, ModelSpec, TrainConfig
 
 DELTA_MODES = ("relative", "absolute")
 
@@ -33,6 +33,13 @@ def _in(section: str, default):
 def _check_choice(value, choices, ctx: str) -> None:
     if value not in choices:
         raise ConfigError(f"{ctx}: unknown {value!r}, expected one of {tuple(choices)}")
+
+
+def _check_training(block) -> None:
+    """TrainConfig's and ModelSpec's own checks, on the values `block` gives."""
+    TrainConfig(**{f.name: getattr(block, f.name) for f in fields(TrainConfig)
+                   if getattr(block, f.name, None) is not None})
+    ModelSpec(1, block.hidden_layers or (), 3)  # any valid input_dim and num_classes
 
 
 @dataclass
@@ -73,6 +80,10 @@ class SourceBlock:
 
     def __post_init__(self):
         _check_choice(self.activation, ACTIVATIONS, "source.model.activation")
+        try:
+            _check_training(self)
+        except InputError as exc:
+            raise ConfigError(f"source: {exc}") from exc
 
 
 @dataclass
@@ -107,6 +118,7 @@ class AttackBlock:
         _check_choice(self.kind, ATTACK_KINDS, "attacks.kind")
         try:
             check_params(self.kind, self.gamma, self.prune_ratio)
+            _check_training(self)
         except InputError as exc:
             raise ConfigError(f"attacks ({self.kind}): {exc}") from exc
         if self.activation is not None:
@@ -137,6 +149,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 0:
             raise ConfigError("repeats must be >= 0")
+        keep = {None, self.source.hidden_layers, self.source.activation}  # no override, or an equal one
+        for b in self.attacks:
+            if b.kind in ("prune", "finetune") and {b.hidden_layers, b.activation} - keep:
+                raise ConfigError(f"attacks ({b.kind}): {b.kind} keeps the source architecture")
 
 
 def _require_mapping(node, ctx):

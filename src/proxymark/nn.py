@@ -8,7 +8,6 @@ appear at file-format boundaries.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -405,4 +404,6 @@ def load_checkpoint(path) -> Model:
 
 def fingerprint(model: Model) -> str:
     """SHA-256 of the checkpoint serialization."""
+    import hashlib  # here, not at the top: `proxymark verify` never hashes a model
+
     return hashlib.sha256(checkpoint_bytes(model)).hexdigest()

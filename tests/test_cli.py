@@ -4,8 +4,10 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,32 @@ def config_file(tmp_path):
     return path, out
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports proxymark from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    """Every file under out by relative path, summary.txt without its wall-clock line."""
+    files = {}
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            data = p.read_bytes()
+            if p.name == "summary.txt":
+                data = re.sub(rb"wall clock: .*\n", b"", data)
+            files[str(p.relative_to(out))] = data
+    return files
+
+
+def _in_process(argv, out, capsys):
+    """Exit code, stdout (with out as <out>), stderr and files of one in-process call."""
+    code = main(argv + ["--out", str(out)])
+    printed = capsys.readouterr()
+    return code, printed.out.replace(str(out), "<out>"), printed.err, _written(out)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -58,6 +86,12 @@ class TestExitCodes:
             ("kind: soft_label}", "kind: soft_label}\n  - {kind: rgt}"),  # before soft_label runs
             ("kind: soft_label", "kind: soft_label, gamma: 0.5"),
             ("kind: soft_label", "kind: prune, prune_ratio: 1.0"),
+            ("epochs: 50", "epochs: -1"),
+            ("hidden_layers: [16]", "hidden_layers: [16, 0]"),
+            ("kind: soft_label}", "kind: soft_label}\n  - {kind: finetune, learning_rate: -1.0}"),
+            ("kind: soft_label}",
+             "kind: soft_label}\n  - {kind: prune, prune_ratio: 0.5, hidden_layers: [8]}"),
+            ("kind: soft_label", "kind: soft_label, batch_size: 0"),
         ],
     )
     def test_bad_config_value_is_2(self, config_file, capsys, old, new):
@@ -194,6 +228,28 @@ class TestSubcommands:
         for name in surrogates:
             assert (outs["attack"] / name).read_bytes() == (ckpts / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["train", "watermark", "attack", "integrity", "run"])
+    def test_fresh_process_writes_what_in_process_writes(self, config_file, tmp_path, capsys, command):
+        # a fresh `python -m proxymark` binds the run-side names on first use
+        path, _ = config_file
+        argv = [command, "--config", str(path)]
+        in_process = _in_process(argv, tmp_path / "in", capsys)
+        out = tmp_path / "fresh"
+        done = _python("-m", "proxymark", *argv, "--out", str(out))
+        assert in_process[0] == EXIT_OK and in_process[3]
+        fresh = done.returncode, done.stdout.replace(str(out), "<out>"), done.stderr, _written(out)
+        assert fresh == in_process
+
+    def test_override_equal_to_the_source_still_runs(self, config_file, tmp_path, capsys):
+        path, _ = config_file
+        text = path.read_text().replace("{kind: soft_label}", "{kind: prune, prune_ratio: 0.5}")
+        path.write_text(text)
+        plain = _in_process(["attack", "--config", str(path)], tmp_path / "plain", capsys)
+        path.write_text(text.replace("prune_ratio: 0.5",
+                                     "prune_ratio: 0.5, hidden_layers: [16], activation: relu"))
+        assert plain[0] == EXIT_OK and len(plain[3]) == 1
+        assert _in_process(["attack", "--config", str(path)], tmp_path / "equal", capsys) == plain
+
     def test_seed_and_out_overrides(self, config_file, tmp_path):
         path, _ = config_file
         alt = tmp_path / "alt"
@@ -225,13 +281,6 @@ class TestSubcommands:
 
 
 class TestFanOut:
-    @staticmethod
-    def _outcome(argv, out, capsys):
-        code = main(argv + ["--out", str(out)])
-        printed = capsys.readouterr()
-        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-        return code, printed.out.replace(str(out), "<out>"), printed.err, files
-
     def test_attack_writes_the_same_files_at_any_worker_count(self, config_file, tmp_path, capsys,
                                                               force_workers):
         path, _ = config_file
@@ -239,8 +288,8 @@ class TestFanOut:
         outcomes = {}
         for workers in (1, 2, 3):
             forks = force_workers(workers)
-            outcomes[workers] = self._outcome(["attack", "--config", str(path)], tmp_path / str(workers),
-                                              capsys)
+            outcomes[workers] = _in_process(["attack", "--config", str(path)], tmp_path / str(workers),
+                                            capsys)
             assert len(forks) == workers - 1
         code, _, _, files = outcomes[1]
         assert code == EXIT_OK and len(files) == 3
@@ -262,8 +311,7 @@ class TestFanOut:
         outcomes = {}
         for workers in (1, 2, 3):
             force_workers(workers)
-            outcomes[workers] = self._outcome([command, "--config", str(path)], tmp_path / str(workers),
-                                              capsys)
+            outcomes[workers] = _in_process([command, "--config", str(path)], tmp_path / str(workers), capsys)
         code, _, err, files = outcomes[1]
         assert code == EXIT_EXPERIMENT
         assert f"experiment error ({command}): loss became nan" in err
@@ -278,15 +326,12 @@ class TestFanOut:
         # process that meets it, so a count that follows the workers would show
         path, _ = config_file
         self._diverging(path)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outcomes = {}
         for workers in (1, 2, 3):
             argv = [command, "--config", str(path), "--out", str(tmp_path / str(workers))]
             code = (f"import sys, proxymark.harness as h; h._workers = lambda n: min(n, {workers}); "
                     f"from proxymark.cli import main; sys.exit(main({argv!r}))")
-            done = subprocess.run([sys.executable, "-W", "default", "-c", code], env=env,
-                                  capture_output=True, text=True)
+            done = _python("-W", "default", "-c", code)
             outcomes[workers] = done.returncode, done.stdout, done.stderr
         code, _, err = outcomes[1]
         assert code == EXIT_EXPERIMENT
@@ -341,10 +386,58 @@ class TestBenchmarkHooks:
     def test_cli_import_loads_no_process_pool(self):
         # a fresh-process `verify` (cli_verify_s) pays for every module that
         # `import proxymark.cli` loads
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("import sys, proxymark.cli; "
                 "print({'multiprocessing', 'concurrent.futures'} & set(sys.modules))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              check=True)
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "set()"
+
+    def test_fresh_verify_loads_only_what_verification_uses(self, config_file):
+        path, out = config_file
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        argv = ["verify", "--suspect", str(out / "source.ckpt"),
+                "--trigger-set", str(out / "trigger_set.json")]
+        code = ("import sys; from proxymark import cli; "
+                f"assert cli.main({argv!r}) == 0; "
+                "print(sorted(m for m in sys.modules if m.startswith('proxymark'))); "
+                "print(sorted({'proxymark.config', 'proxymark.harness', 'proxymark.attacks', 'yaml', "
+                "'hashlib', 'signal'} & set(sys.modules)))")
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        *report, modules, run_side = done.stdout.splitlines()
+        assert "verdict:           stolen" in "\n".join(report)
+        assert modules == str(["proxymark", "proxymark.cli", "proxymark.data", "proxymark.errors",
+                               "proxymark.nn", "proxymark.stats", "proxymark.watermark"])
+        assert run_side == "[]"
+
+    def test_wrappers_set_before_the_run_side_loads_stay(self, config_file):
+        # the traced run wraps cli.run_experiment and cli.load_config; a
+        # run-side command binds its names late, and must keep those wrappers
+        path, out = config_file
+        code = textwrap.dedent(f"""
+            import sys
+            from proxymark import cli
+            assert "proxymark.harness" not in sys.modules
+            calls = []
+
+            def counting(fn):
+                def wrapper(*args, **kwargs):
+                    calls.append(fn.__name__)
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            import proxymark.harness
+            cli.run_experiment = counting(proxymark.harness.run_experiment)  # before cli binds it
+            cli.load_config = counting(cli.load_config)  # read through cli's __getattr__
+            assert cli.main(["run", "--config", {str(path)!r}]) == 0
+            print(calls)
+        """)
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "['load_config', 'run_experiment']"
+        assert (out / "report.csv").exists()
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+        assert not hasattr(cli, "no_such_name")

@@ -149,6 +149,22 @@ class TestConfigParsing:
             ({"dataset": {"split": [0.5]}}, "dataset.split: expected a mapping"),
             ({"repeats": -1}, "repeats must be >= 0"),
             ({"independents": {"count": -2}}, "independents.count must be >= 0"),
+            ({"source": {"train": {"epochs": -1}}}, "source: epochs must be >= 0"),
+            ({"source": {"train": {"learning_rate": float("nan")}}}, "source: learning_rate must be finite"),
+            ({"source": {"train": {"momentum": 1.0}}}, r"source: momentum must be in \[0, 1\)"),
+            ({"source": {"train": {"batch_size": 0}}}, "source: batch_size must be >= 1"),
+            ({"source": {"model": {"hidden_layers": [8, 0]}}}, "source: all layer widths must be >= 1"),
+            ({"attacks": [{"kind": "finetune", "learning_rate": -1.0}]},
+             r"attacks \(finetune\): learning_rate must be finite and >= 0"),
+            ({"attacks": [{"kind": "soft_label", "weight_decay": -0.1}]},
+             r"\(soft_label\): weight_decay must be"),
+            ({"attacks": [{"kind": "hard_label", "epochs": -5}]}, r"\(hard_label\): epochs must be >= 0"),
+            ({"attacks": [{"kind": "rgt", "gamma": 0.5, "hidden_layers": [0]}]},
+             r"\(rgt\): all layer widths"),
+            ({"attacks": [{"kind": "prune", "prune_ratio": 0.5, "hidden_layers": [8]}]},
+             r"attacks \(prune\): prune keeps the source architecture"),
+            ({"attacks": [{"kind": "finetune", "activation": "tanh"}]},
+             r"attacks \(finetune\): finetune keeps the source architecture"),
         ],
     )
     def test_bad_value_rejected(self, tree, message):
