@@ -12,24 +12,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AttackFailedError, InputError, TrainingDivergedError
-from .nn import Model, ModelSpec, TrainConfig, _activate, accuracy, fit, forward, predict, unpack
+from .nn import (Model, ModelSpec, TrainConfig, _activate, _check_features, accuracy, fit, forward,
+                 predict, unpack)
 
 ATTACK_KINDS = ("soft_label", "hard_label", "rgt", "prune", "finetune")
-
-
-@dataclass
-class AttackConfig:
-    kind: str
-    surrogate_spec: ModelSpec
-    surrogate_data: Dataset
-    train: TrainConfig
-    gamma: float | None = None
-    prune_ratio: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise InputError(f"unknown attack kind {self.kind!r}")
-        check_params(self.kind, self.gamma, self.prune_ratio)
 
 
 def check_params(kind: str, gamma: float | None, prune_ratio: float | None) -> None:
@@ -51,111 +37,82 @@ class AttackResult:
     loss_history: list[float]
 
 
-def _check_dims(f: Model, cfg: AttackConfig) -> None:
-    if cfg.surrogate_spec.input_dim != f.spec.input_dim:
-        raise InputError("surrogate input dimension must match the source")
-    if cfg.surrogate_data.dim != f.spec.input_dim:
-        raise InputError("surrogate data dimension must match the source")
-
-
-def _run_fit(cfg: AttackConfig, labels, teacher=None, gamma=0.0, init=None) -> AttackResult:
+def _run_fit(spec, data: Dataset, train, labels, teacher=None, gamma=0.0, init=None) -> AttackResult:
     try:
-        surrogate, history = fit(
-            cfg.surrogate_spec,
-            cfg.surrogate_data.features,
-            labels,
-            cfg.train,
-            teacher_probs=teacher,
-            gamma=gamma,
-            init=init,
-        )
+        surrogate, history = fit(spec, data.features, labels, train, teacher_probs=teacher, gamma=gamma,
+                                 init=init)
     except TrainingDivergedError as exc:
         raise AttackFailedError(str(exc)) from exc
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), history)
+    return AttackResult(surrogate, accuracy(data, surrogate), history)
 
 
-def steal_soft(f: Model, cfg: AttackConfig) -> AttackResult:
+def steal_soft(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig) -> AttackResult:
     """Distill against the source's probability vectors (teacher frozen)."""
-    if cfg.kind != "soft_label":
-        raise InputError("config kind must be soft_label")
-    _check_dims(f, cfg)
-    return _run_fit(cfg, None, forward(f, cfg.surrogate_data.features), 1.0)
+    return _run_fit(spec, data, train, None, forward(f, data.features), 1.0)
 
 
-def steal_hard(f: Model, cfg: AttackConfig) -> AttackResult:
+def steal_hard(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig) -> AttackResult:
     """Train on the dataset relabeled with the source's argmax predictions."""
-    if cfg.kind != "hard_label":
-        raise InputError("config kind must be hard_label")
-    _check_dims(f, cfg)
-    return _run_fit(cfg, predict(f, cfg.surrogate_data.features))
+    return _run_fit(spec, data, train, predict(f, data.features))
 
 
-def steal_rgt(f: Model, cfg: AttackConfig) -> AttackResult:
+def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, gamma: float) -> AttackResult:
     """Distillation mixed with ground-truth cross-entropy, weighted by gamma.
 
     gamma=0 reduces bitwise to plain training and gamma=1 to the soft-label
     attack, because all three share the same fit() code path.
     """
-    if cfg.kind != "rgt":
-        raise InputError("config kind must be rgt")
-    _check_dims(f, cfg)
-    teacher = forward(f, cfg.surrogate_data.features)
-    return _run_fit(cfg, cfg.surrogate_data.labels, teacher, cfg.gamma)
+    return _run_fit(spec, data, train, data.labels, forward(f, data.features), gamma)
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     """Mean absolute post-activation per hidden neuron over the calibration set."""
-    a, activities = calibration.features, []
+    a, activities = _check_features(f.spec, calibration.features)[0], []
     for w, b in unpack(f.spec, f.theta)[:-1]:
         a = _activate(a @ w + b, f.spec.activation)
         activities.append(np.mean(np.abs(a), axis=0))
     return activities
 
 
-def prune(f: Model, cfg: AttackConfig) -> AttackResult:
+def prune(f: Model, data: Dataset, ratio: float) -> AttackResult:
     """Zero out the least active floor(ratio * width) neurons per hidden layer.
 
     Structural zeroing only, no retraining: a cut neuron loses its incoming
     column, bias, and outgoing row. Ties break by neuron index.
     """
-    if cfg.kind != "prune":
-        raise InputError("config kind must be prune")
-    if cfg.surrogate_spec != f.spec:
-        raise InputError("pruning keeps the source architecture")
-    ratio = cfg.prune_ratio
+    check_params("prune", None, ratio)
     theta = f.theta.copy()
     layers = unpack(f.spec, theta)
-    activities = neuron_activity(f, cfg.surrogate_data)
+    activities = neuron_activity(f, data)
     for li, width in enumerate(f.spec.hidden_layers):
-        k = int(ratio * width)
-        if k == 0:
-            continue
-        order = np.argsort(activities[li], kind="stable")
-        cut = order[:k]
+        cut = np.argsort(activities[li], kind="stable")[: int(ratio * width)]
         w_in, b_in = layers[li]
         w_in[:, cut] = 0.0
         b_in[cut] = 0.0
         w_out, _ = layers[li + 1]
         w_out[cut, :] = 0.0
     surrogate = Model(f.spec, theta)
-    return AttackResult(surrogate, accuracy(cfg.surrogate_data, surrogate), [])
+    return AttackResult(surrogate, accuracy(data, surrogate), [])
 
 
-def finetune(f: Model, cfg: AttackConfig) -> AttackResult:
+def finetune(f: Model, data: Dataset, train: TrainConfig) -> AttackResult:
     """Continue cross-entropy training of a copy of the source."""
-    if cfg.kind != "finetune":
-        raise InputError("config kind must be finetune")
-    if cfg.surrogate_spec != f.spec:
-        raise InputError("finetune keeps the source architecture")
-    return _run_fit(cfg, cfg.surrogate_data.labels, init=f.theta.copy())
+    return _run_fit(f.spec, data, train, data.labels, init=f.theta.copy())
 
 
-def run_attack(f: Model, cfg: AttackConfig) -> AttackResult:
-    """Dispatch on the attack kind."""
-    return {
-        "soft_label": steal_soft,
-        "hard_label": steal_hard,
-        "rgt": steal_rgt,
-        "prune": prune,
-        "finetune": finetune,
-    }[cfg.kind](f, cfg)
+def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, train: TrainConfig,
+               gamma: float | None = None, prune_ratio: float | None = None) -> AttackResult:
+    """Run attack `kind`; the names resolve at each call, so a wrapper set on this module sees it."""
+    check_params(kind, gamma, prune_ratio)
+    match kind:
+        case "soft_label":
+            return steal_soft(f, spec, data, train)
+        case "hard_label":
+            return steal_hard(f, spec, data, train)
+        case "rgt":
+            return steal_rgt(f, spec, data, train, gamma)
+        case "prune":
+            return prune(f, data, prune_ratio)
+        case "finetune":
+            return finetune(f, data, train)
+    raise InputError(f"unknown attack kind {kind!r}")

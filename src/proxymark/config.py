@@ -12,6 +12,7 @@ harness.derive_seed).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -19,8 +20,11 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .attacks import ATTACK_KINDS, check_params
+from .data import SplitSpec, check_blobs, check_subset_fraction
 from .errors import ConfigError, InputError
 from .nn import ACTIVATIONS, ModelSpec, TrainConfig
+from .stats import check_alpha
+from .watermark import VerifyConfig, check_ball
 
 DELTA_MODES = ("relative", "absolute")
 
@@ -33,6 +37,15 @@ def _in(section: str, default):
 def _check_choice(value, choices, ctx: str) -> None:
     if value not in choices:
         raise ConfigError(f"{ctx}: unknown {value!r}, expected one of {tuple(choices)}")
+
+
+@contextlib.contextmanager
+def _checked(block: str):
+    """A stage's own check, run at load: its InputError becomes a ConfigError naming the block."""
+    try:
+        yield
+    except InputError as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
 def _check_training(block) -> None:
@@ -49,6 +62,10 @@ class GeneratorBlock:
     per_class: int = 150
     spread: float = 0.6
 
+    def __post_init__(self):
+        with _checked("dataset.generator"):
+            check_blobs(self.classes, self.dim, self.per_class, self.spread)
+
 
 @dataclass
 class DatasetBlock:
@@ -57,6 +74,8 @@ class DatasetBlock:
     holdout_fraction: float = _in("split", 0.5)
 
     def __post_init__(self):
+        with _checked("dataset"):
+            SplitSpec(self.holdout_fraction)
         if self.csv is None:
             if self.generator is None:
                 raise ConfigError("dataset: give a generator or a csv")
@@ -80,10 +99,8 @@ class SourceBlock:
 
     def __post_init__(self):
         _check_choice(self.activation, ACTIVATIONS, "source.model.activation")
-        try:
+        with _checked("source"):
             _check_training(self)
-        except InputError as exc:
-            raise ConfigError(f"source: {exc}") from exc
 
 
 @dataclass
@@ -99,6 +116,10 @@ class BallBlock:
 
     def __post_init__(self):
         _check_choice(self.delta_mode, DELTA_MODES, "ball.delta_mode")
+        with _checked("ball"):
+            check_ball(self.delta, self.tau, self.sigma)  # a relative delta is a fraction >= 0 too
+            VerifyConfig(self.m, self.n, self.max_candidates)
+            check_alpha(self.alpha)
 
 
 @dataclass
@@ -116,11 +137,9 @@ class AttackBlock:
 
     def __post_init__(self):
         _check_choice(self.kind, ATTACK_KINDS, "attacks.kind")
-        try:
+        with _checked(f"attacks ({self.kind})"):
             check_params(self.kind, self.gamma, self.prune_ratio)
             _check_training(self)
-        except InputError as exc:
-            raise ConfigError(f"attacks ({self.kind}): {exc}") from exc
         if self.activation is not None:
             _check_choice(self.activation, ACTIVATIONS, f"attacks ({self.kind}).activation")
 
@@ -133,6 +152,8 @@ class IndependentsBlock:
     def __post_init__(self):
         if self.count < 0:
             raise ConfigError("independents.count must be >= 0")
+        with _checked("independents"):
+            check_subset_fraction(self.subset_fraction)
 
 
 @dataclass

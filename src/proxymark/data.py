@@ -68,8 +68,7 @@ def class_centers(num_classes: int, dim: int) -> np.ndarray:
     return centers
 
 
-def make_blobs(num_classes: int, dim: int, n_per_class: int, spread: float, seed: int) -> Dataset:
-    """Isotropic Gaussian blobs around K-gon centroids; pure in its arguments."""
+def check_blobs(num_classes: int, dim: int, n_per_class: int, spread: float) -> None:
     if num_classes < 3:
         raise InputError("need at least 3 classes")
     if dim < 2:
@@ -78,6 +77,16 @@ def make_blobs(num_classes: int, dim: int, n_per_class: int, spread: float, seed
         raise InputError("n_per_class must be >= 1")
     if not (spread >= 0 and np.isfinite(spread)):
         raise InputError("spread must be finite and >= 0")
+
+
+def check_subset_fraction(fraction: float) -> None:
+    if not (0.0 < fraction <= 1.0):
+        raise InputError("subset_fraction must be in (0, 1]")
+
+
+def make_blobs(num_classes: int, dim: int, n_per_class: int, spread: float, seed: int) -> Dataset:
+    """Isotropic Gaussian blobs around K-gon centroids; pure in its arguments."""
+    check_blobs(num_classes, dim, n_per_class, spread)
     rng = np.random.default_rng(seed)
     centers = class_centers(num_classes, dim)
     labels = np.repeat(np.arange(num_classes), n_per_class)

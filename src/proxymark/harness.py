@@ -31,7 +31,7 @@ import numpy as np
 
 from . import attacks as atk
 from .config import AttackBlock, ExperimentConfig
-from .data import Dataset, SplitSpec, load_csv, make_blobs, split
+from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split
 from .errors import InputError
 from .nn import Model, ModelSpec, TrainConfig, accuracy, save_checkpoint, train
 from .stats import (
@@ -109,30 +109,11 @@ def _given(block: AttackBlock) -> dict:
     return {f.name: getattr(block, f.name) for f in fields(block) if getattr(block, f.name) is not None}
 
 
-def attack_config(
-    block: AttackBlock, base_spec: ModelSpec, data: Dataset, base_train: TrainConfig, seed: int
-) -> atk.AttackConfig:
-    given = _given(block)
-
-    def overriding(base):
-        return replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
-
-    return atk.AttackConfig(
-        kind=block.kind,
-        surrogate_spec=overriding(base_spec),
-        surrogate_data=data,
-        train=replace(overriding(base_train), seed=seed),
-        gamma=block.gamma,
-        prune_ratio=block.prune_ratio,
-    )
-
-
 def train_independent(
     spec: ModelSpec, data: Dataset, subset_fraction: float, seed: int, train_cfg: TrainConfig
 ) -> Model:
     """Train on a seeded random subset; fraction 1.0 shares the plain path."""
-    if not (0.0 < subset_fraction <= 1.0):
-        raise InputError("subset_fraction must be in (0, 1]")
+    check_subset_fraction(subset_fraction)
     cfg = replace(train_cfg, seed=seed)
     if subset_fraction < 1.0:
         size = int(subset_fraction * data.n)
@@ -294,7 +275,11 @@ def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, int
 
 
 def _run_attack(s: Setup, block: AttackBlock, seed: int) -> atk.AttackResult:
-    return atk.run_attack(s.source, attack_config(block, s.spec, s.train_data, s.train_cfg, seed))
+    """One run of `block`: the source's spec and training config with its overrides and seed."""
+    given = _given(block)
+    spec, train = (replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
+                   for base in (s.spec, replace(s.train_cfg, seed=seed)))
+    return atk.run_attack(s.source, block.kind, spec, s.train_data, train, block.gamma, block.prune_ratio)
 
 
 def _save_surrogates(runs: list, results, ckpt_dir: Path):

@@ -142,14 +142,18 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise InputError("alpha must be in (0, 1)")
+
+
 def clopper_pearson_lower(t: int, m: int, alpha: float) -> float:
     """One-sided lower confidence bound: the alpha/2 quantile of Beta(t, m-t+1)."""
     if m < 1:
         raise InputError("m must be >= 1")
     if not (0 <= t <= m):
         raise InputError(f"t={t} out of range for m={m}")
-    if not (0.0 < alpha < 1.0):
-        raise InputError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     if t == 0:
         return 0.0
     return beta_quantile(alpha / 2.0, float(t), float(m - t + 1))
@@ -159,8 +163,7 @@ def lemma_bound(n: int, alpha: float) -> float:
     """Probability (1 - alpha)^n that all n per-sample intervals hold at once."""
     if n < 0:
         raise InputError("n must be >= 0")
-    if not (0.0 < alpha < 1.0):
-        raise InputError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     return (1.0 - alpha) ** n
 
 

@@ -98,21 +98,24 @@ class ProxyBall:
     reference_data: Dataset | None = None
 
     def __post_init__(self):
-        if self.delta < 0 or not np.isfinite(self.delta):
-            raise InputError("delta must be finite and >= 0")
-        if not (0.0 < self.tau <= 1.0):
-            raise InputError("tau must be in (0, 1]")
         if self.sigma is None:
             # expected noise norm ~ sigma * sqrt(dim); this makes delta the scale knob
-            dim = self.source.theta.size
-            self.sigma = self.delta / np.sqrt(dim) if self.delta > 0 else 1.0
-        if self.sigma <= 0:
-            raise InputError("sigma must be positive")
+            self.sigma = self.delta / np.sqrt(self.source.theta.size) if self.delta > 0 else 1.0
+        check_ball(self.delta, self.tau, self.sigma)
         if self.tau < 1.0 and self.reference_data is None:
             raise InputError("tau < 1 requires reference_data for the accuracy gap check")
 
     def params(self) -> dict:
         return {"delta": self.delta, "tau": self.tau, "sigma": self.sigma}
+
+
+def check_ball(delta: float, tau: float, sigma: float | None) -> None:
+    if delta < 0 or not np.isfinite(delta):
+        raise InputError("delta must be finite and >= 0")
+    if not (0.0 < tau <= 1.0):
+        raise InputError("tau must be in (0, 1]")
+    if sigma is not None and not 0.0 < sigma < np.inf:
+        raise InputError("sigma must be finite and positive")
 
 
 def relative_delta(source: Model, fraction: float = 0.05) -> float:

@@ -18,39 +18,13 @@ def setting():
     return train_data, spec, source
 
 
-def _cfg(kind, spec, data, seed=50, **kw):
-    return atk.AttackConfig(kind, spec, data, pm.TrainConfig(epochs=40, seed=seed), **kw)
-
-
-class TestAttackConfig:
-    def test_gamma_only_for_rgt(self, setting):
-        data, spec, _ = setting
-        with pytest.raises(InputError):
-            _cfg("soft_label", spec, data, gamma=0.5)
-        with pytest.raises(InputError):
-            _cfg("rgt", spec, data)  # missing gamma
-        with pytest.raises(InputError):
-            _cfg("rgt", spec, data, gamma=1.5)
-
-    def test_prune_ratio_only_for_prune(self, setting):
-        data, spec, _ = setting
-        with pytest.raises(InputError):
-            _cfg("soft_label", spec, data, prune_ratio=0.5)
-        with pytest.raises(InputError):
-            _cfg("prune", spec, data)
-        with pytest.raises(InputError):
-            _cfg("prune", spec, data, prune_ratio=1.0)
-
-    def test_unknown_kind(self, setting):
-        data, spec, _ = setting
-        with pytest.raises(InputError):
-            _cfg("steal_everything", spec, data)
+TRAIN = pm.TrainConfig(epochs=40, seed=50)
 
 
 class TestDistillation:
     def test_soft_label_copies_source(self, setting):
         data, spec, source = setting
-        result = atk.steal_soft(source, _cfg("soft_label", spec, data))
+        result = atk.steal_soft(source, spec, data, TRAIN)
         agree = np.mean(pm.predict(result.surrogate, data.features) == pm.predict(source, data.features))
         assert agree > 0.9
         assert result.clean_accuracy > 0.8
@@ -58,53 +32,52 @@ class TestDistillation:
 
     def test_hard_label_trains_on_source_predictions(self, setting):
         data, spec, source = setting
-        cfg = _cfg("hard_label", spec, data)
-        result = atk.steal_hard(source, cfg)
-        want, history = fit(spec, data.features, pm.predict(source, data.features), cfg.train)
+        result = atk.steal_hard(source, spec, data, TRAIN)
+        want, history = fit(spec, data.features, pm.predict(source, data.features), TRAIN)
         assert result.surrogate.theta.tobytes() == want.theta.tobytes()
         assert result.loss_history == history
 
     def test_source_never_mutated(self, setting):
         data, spec, source = setting
         before = source.theta.copy()
-        atk.steal_soft(source, _cfg("soft_label", spec, data))
-        atk.steal_hard(source, _cfg("hard_label", spec, data))
-        atk.steal_rgt(source, _cfg("rgt", spec, data, gamma=0.5))
-        atk.prune(source, _cfg("prune", spec, data, prune_ratio=0.5))
-        atk.finetune(source, _cfg("finetune", spec, data))
+        atk.steal_soft(source, spec, data, TRAIN)
+        atk.steal_hard(source, spec, data, TRAIN)
+        atk.steal_rgt(source, spec, data, TRAIN, 0.5)
+        atk.prune(source, data, 0.5)
+        atk.finetune(source, data, TRAIN)
         assert np.array_equal(source.theta, before)
 
     def test_cross_architecture_surrogate(self, setting):
         data, _, source = setting
         other = pm.ModelSpec(2, (8, 8), 4)
-        result = atk.steal_soft(source, _cfg("soft_label", other, data))
+        result = atk.steal_soft(source, other, data, TRAIN)
         assert result.surrogate.spec == other
 
     def test_dimension_mismatch_rejected(self, setting):
         data, _, source = setting
         bad_spec = pm.ModelSpec(3, (8,), 4)
         with pytest.raises(InputError):
-            atk.steal_soft(source, _cfg("soft_label", bad_spec, data))
+            atk.steal_soft(source, bad_spec, data, TRAIN)
 
 
 class TestDegenerateGamma:
     def test_gamma_zero_bitwise_equals_plain_training(self, setting):
         data, spec, source = setting
-        result = atk.steal_rgt(source, _cfg("rgt", spec, data, gamma=0.0))
-        plain, _ = fit(spec, data.features, data.labels, pm.TrainConfig(epochs=40, seed=50))
+        result = atk.steal_rgt(source, spec, data, TRAIN, 0.0)
+        plain, _ = fit(spec, data.features, data.labels, TRAIN)
         assert np.array_equal(result.surrogate.theta, plain.theta)
 
     def test_gamma_one_bitwise_equals_soft_label(self, setting):
         data, spec, source = setting
-        rgt = atk.steal_rgt(source, _cfg("rgt", spec, data, gamma=1.0))
-        soft = atk.steal_soft(source, _cfg("soft_label", spec, data))
+        rgt = atk.steal_rgt(source, spec, data, TRAIN, 1.0)
+        soft = atk.steal_soft(source, spec, data, TRAIN)
         assert np.array_equal(rgt.surrogate.theta, soft.surrogate.theta)
 
     def test_interior_gamma_differs_from_both(self, setting):
         data, spec, source = setting
-        mid = atk.steal_rgt(source, _cfg("rgt", spec, data, gamma=0.5))
-        soft = atk.steal_soft(source, _cfg("soft_label", spec, data))
-        plain, _ = fit(spec, data.features, data.labels, pm.TrainConfig(epochs=40, seed=50))
+        mid = atk.steal_rgt(source, spec, data, TRAIN, 0.5)
+        soft = atk.steal_soft(source, spec, data, TRAIN)
+        plain, _ = fit(spec, data.features, data.labels, TRAIN)
         assert not np.array_equal(mid.surrogate.theta, soft.surrogate.theta)
         assert not np.array_equal(mid.surrogate.theta, plain.theta)
 
@@ -112,7 +85,7 @@ class TestDegenerateGamma:
 class TestPrune:
     def test_structural_zeroing(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, _cfg("prune", spec, data, prune_ratio=0.5))
+        result = atk.prune(source, data, 0.5)
         layers = unpack(spec, result.surrogate.theta)
         activities = atk.neuron_activity(source, data)
         cut = np.argsort(activities[0], kind="stable")[: int(0.5 * 16)]
@@ -126,21 +99,27 @@ class TestPrune:
 
     def test_ratio_zero_is_identity(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, _cfg("prune", spec, data, prune_ratio=0.0))
+        result = atk.prune(source, data, 0.0)
         assert np.array_equal(result.surrogate.theta, source.theta)
 
     def test_count_is_floor_of_ratio_times_width(self, setting):
         data, spec, source = setting
         # ratio 0.49 on width 16 cuts floor(7.84) = 7 neurons
-        result = atk.prune(source, _cfg("prune", spec, data, prune_ratio=0.49))
+        result = atk.prune(source, data, 0.49)
         w_in = unpack(spec, result.surrogate.theta)[0][0]
         assert np.sum(np.all(w_in == 0.0, axis=0)) == 7
 
-    def test_architecture_must_match(self, setting):
+    def test_ratio_checked(self, setting):
         data, _, source = setting
-        other = pm.ModelSpec(2, (8,), 4)
-        with pytest.raises(InputError):
-            atk.prune(source, _cfg("prune", other, data, prune_ratio=0.5))
+        for ratio in (-0.1, 1.0):
+            with pytest.raises(InputError, match=r"prune_ratio must be in \[0, 1\)"):
+                atk.prune(source, data, ratio)
+
+    def test_data_of_another_width_is_input_error(self, setting):
+        _, _, source = setting
+        wide = pm.make_blobs(4, 3, 10, 0.6, seed=7)
+        with pytest.raises(InputError, match="expected feature dimension 2"):
+            atk.prune(source, wide, 0.5)
 
     def test_activity_uses_calibration_data(self, setting):
         data, spec, source = setting
@@ -153,36 +132,43 @@ class TestPrune:
 class TestFinetune:
     def test_starts_from_source_weights(self, setting):
         data, spec, source = setting
-        cfg = atk.AttackConfig(
-            "finetune", spec, data,
-            pm.TrainConfig(epochs=1, learning_rate=0.0, weight_decay=0.0, seed=50),
-        )
-        result = atk.finetune(source, cfg)
+        still = pm.TrainConfig(epochs=1, learning_rate=0.0, weight_decay=0.0, seed=50)
+        result = atk.finetune(source, data, still)
         assert np.array_equal(result.surrogate.theta, source.theta)
 
     def test_moves_weights_with_positive_lr(self, setting):
         data, spec, source = setting
-        result = atk.finetune(source, _cfg("finetune", spec, data))
+        result = atk.finetune(source, data, TRAIN)
         assert not np.array_equal(result.surrogate.theta, source.theta)
         assert result.clean_accuracy > 0.8
-
-    def test_architecture_must_match(self, setting):
-        data, _, source = setting
-        other = pm.ModelSpec(2, (8,), 4)
-        with pytest.raises(InputError):
-            atk.finetune(source, _cfg("finetune", other, data))
 
 
 class TestRunAttack:
     def test_dispatch_matches_direct_calls(self, setting):
         data, spec, source = setting
-        direct = atk.steal_soft(source, _cfg("soft_label", spec, data))
-        routed = atk.run_attack(source, _cfg("soft_label", spec, data))
+        direct = atk.steal_soft(source, spec, data, TRAIN)
+        routed = atk.run_attack(source, "soft_label", spec, data, TRAIN)
         assert np.array_equal(direct.surrogate.theta, routed.surrogate.theta)
 
     def test_all_kinds_covered(self, setting):
         data, spec, source = setting
         kw = {"rgt": {"gamma": 0.5}, "prune": {"prune_ratio": 0.25}}
         for kind in atk.ATTACK_KINDS:
-            result = atk.run_attack(source, _cfg(kind, spec, data, **kw.get(kind, {})))
+            result = atk.run_attack(source, kind, spec, data, TRAIN, **kw.get(kind, {}))
             assert result.surrogate.spec == spec
+
+    @pytest.mark.parametrize(
+        "kind, kw, message",
+        [("rgt", {}, "gamma is required for rgt"),
+         ("soft_label", {"gamma": 0.5}, "gamma is required for rgt and forbidden otherwise"),
+         ("prune", {"prune_ratio": 1.0}, r"prune_ratio must be in \[0, 1\)")],
+    )
+    def test_parameters_checked(self, setting, kind, kw, message):
+        data, spec, source = setting
+        with pytest.raises(InputError, match=message):
+            atk.run_attack(source, kind, spec, data, TRAIN, **kw)
+
+    def test_unknown_kind(self, setting):
+        data, spec, source = setting
+        with pytest.raises(InputError, match="unknown attack kind 'steal_everything'"):
+            atk.run_attack(source, "steal_everything", spec, data, TRAIN)

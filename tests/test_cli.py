@@ -92,6 +92,15 @@ class TestExitCodes:
             ("kind: soft_label}",
              "kind: soft_label}\n  - {kind: prune, prune_ratio: 0.5, hidden_layers: [8]}"),
             ("kind: soft_label", "kind: soft_label, batch_size: 0"),
+            ("max_candidates: 4000", "max_candidates: 4000, alpha: 1.5"),
+            ("m: 8", "m: 0"),
+            ("n: 6", "n: 0"),
+            ("delta: 0.05", "delta: 0.05, tau: 0.0"),
+            ("delta: 0.05", "delta: -1.0"),
+            ("subset_fraction: 0.5", "subset_fraction: 0.0"),
+            ("holdout_fraction: 0.5", "holdout_fraction: 1.0"),
+            ("spread: 0.6", "spread: -1.0"),
+            ("classes: 4", "classes: 2"),
         ],
     )
     def test_bad_config_value_is_2(self, config_file, capsys, old, new):
@@ -99,7 +108,7 @@ class TestExitCodes:
         path.write_text(path.read_text().replace(old, new))
         assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
-        assert not list(out.glob("*.ckpt"))  # rejected at load, before any training
+        assert not out.exists()  # rejected at load, before anything is written
 
     @pytest.mark.parametrize(
         "old, new",
@@ -382,6 +391,29 @@ class TestBenchmarkHooks:
         after = _hooked(spans)
         assert all(after[key] is fn for key, fn in before.items())
         assert cli.COMMANDS == commands
+
+    def test_attack_wrappers_see_every_run(self, force_workers, tmp_path, capsys, monkeypatch):
+        # the traced run wraps the five attack functions on proxymark.attacks;
+        # run_attack must look them up there at each call
+        from proxymark import attacks
+
+        force_workers(1)  # every call in this process, in the wrappers' sight
+        seen = []
+
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                seen.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("steal_soft", "steal_hard", "steal_rgt", "prune", "finetune")
+        for name in names:
+            monkeypatch.setattr(attacks, name, wrap(getattr(attacks, name)))
+        config = Path(__file__).resolve().parents[1] / "configs" / "blob_default.yaml"
+        assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert len(seen) == 15
+        assert seen == [name for name in names for _ in range(3)]
 
     def test_cli_import_loads_no_process_pool(self):
         # a fresh-process `verify` (cli_verify_s) pays for every module that

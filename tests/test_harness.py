@@ -165,6 +165,21 @@ class TestConfigParsing:
              r"attacks \(prune\): prune keeps the source architecture"),
             ({"attacks": [{"kind": "finetune", "activation": "tanh"}]},
              r"attacks \(finetune\): finetune keeps the source architecture"),
+            ({"ball": {"alpha": 1.5}}, r"ball: alpha must be in \(0, 1\)"),
+            ({"ball": {"m": 0}}, "ball: m must be >= 1"),
+            ({"ball": {"n": 0}}, "ball: n must be >= 1"),
+            ({"ball": {"n": 10, "max_candidates": 9}}, "ball: max_candidates must be >= n"),
+            ({"ball": {"tau": 0.0}}, r"ball: tau must be in \(0, 1\]"),
+            ({"ball": {"delta": -1.0}}, "ball: delta must be finite and >= 0"),
+            ({"ball": {"sigma": 0.0}}, "ball: sigma must be finite and positive"),
+            ({"ball": {"sigma": float("nan")}}, "ball: sigma must be finite and positive"),
+            ({"independents": {"subset_fraction": 0.0}},
+             r"independents: subset_fraction must be in \(0, 1\]"),
+            ({"dataset": {"split": {"holdout_fraction": 1.0}}},
+             r"dataset: holdout_fraction must be in \(0, 1\)"),
+            ({"dataset": {"generator": {"spread": -1.0}}},
+             "dataset.generator: spread must be finite and >= 0"),
+            ({"dataset": {"generator": {"classes": 2}}}, "dataset.generator: need at least 3 classes"),
         ],
     )
     def test_bad_value_rejected(self, tree, message):
