@@ -12,8 +12,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AttackFailedError, InputError, TrainingDivergedError
-from .nn import (Model, ModelSpec, TrainConfig, _activate, _check_features, accuracy, fit, forward,
-                 predict, unpack)
+from .nn import (Model, ModelSpec, TrainConfig, _activate, _check_features, accuracy, fit_many,
+                 forward, predict, unpack)
+
+# perfbench/spans.py wraps attacks.fit; it stays importable from here, although
+# the attacks now train through fit_many.
+from .nn import fit  # noqa: F401
 
 ATTACK_KINDS = ("soft_label", "hard_label", "rgt", "prune", "finetune")
 
@@ -37,32 +41,38 @@ class AttackResult:
     loss_history: list[float]
 
 
-def _run_fit(spec, data: Dataset, train, labels, teacher=None, gamma=0.0, init=None) -> AttackResult:
-    try:
-        surrogate, history = fit(spec, data.features, labels, train, teacher_probs=teacher, gamma=gamma,
-                                 init=init)
-    except TrainingDivergedError as exc:
-        raise AttackFailedError(str(exc)) from exc
-    return AttackResult(surrogate, accuracy(data, surrogate), history)
+def _run_fit(spec, data: Dataset, trains: list[TrainConfig], labels, teacher=None, gamma=0.0,
+             init=None) -> list[AttackResult]:
+    """One surrogate per training config, trained as one stack on the same data;
+    the first that diverges fails the attack."""
+    k = len(trains)
+    outcomes = fit_many(spec, [data.features] * k, None if labels is None else [labels] * k, trains,
+                        teacher_probs=None if teacher is None else [teacher] * k, gamma=gamma,
+                        inits=None if init is None else [init] * k)
+    for outcome in outcomes:
+        if isinstance(outcome, TrainingDivergedError):
+            raise AttackFailedError(str(outcome)) from outcome
+    return [AttackResult(surrogate, accuracy(data, surrogate), history) for surrogate, history in outcomes]
 
 
-def steal_soft(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig) -> AttackResult:
+def steal_soft(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
     """Distill against the source's probability vectors (teacher frozen)."""
-    return _run_fit(spec, data, train, None, forward(f, data.features), 1.0)
+    return _run_fit(spec, data, trains, None, forward(f, data.features), 1.0)
 
 
-def steal_hard(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig) -> AttackResult:
+def steal_hard(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
     """Train on the dataset relabeled with the source's argmax predictions."""
-    return _run_fit(spec, data, train, predict(f, data.features))
+    return _run_fit(spec, data, trains, predict(f, data.features))
 
 
-def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, gamma: float) -> AttackResult:
+def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig],
+              gamma: float) -> list[AttackResult]:
     """Distillation mixed with ground-truth cross-entropy, weighted by gamma.
 
     gamma=0 reduces bitwise to plain training and gamma=1 to the soft-label
-    attack, because all three share the same fit() code path.
+    attack, because all three share the same fit_many() code path.
     """
-    return _run_fit(spec, data, train, data.labels, forward(f, data.features), gamma)
+    return _run_fit(spec, data, trains, data.labels, forward(f, data.features), gamma)
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
@@ -74,11 +84,12 @@ def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     return activities
 
 
-def prune(f: Model, data: Dataset, ratio: float) -> AttackResult:
+def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list[AttackResult]:
     """Zero out the least active floor(ratio * width) neurons per hidden layer.
 
     Structural zeroing only, no retraining: a cut neuron loses its incoming
-    column, bias, and outgoing row. Ties break by neuron index.
+    column, bias, and outgoing row. Ties break by neuron index. Pruning draws
+    nothing, so its `repeats` runs share one result.
     """
     check_params("prune", None, ratio)
     theta = f.theta.copy()
@@ -92,27 +103,29 @@ def prune(f: Model, data: Dataset, ratio: float) -> AttackResult:
         w_out, _ = layers[li + 1]
         w_out[cut, :] = 0.0
     surrogate = Model(f.spec, theta)
-    return AttackResult(surrogate, accuracy(data, surrogate), [])
+    return [AttackResult(surrogate, accuracy(data, surrogate), [])] * repeats
 
 
-def finetune(f: Model, data: Dataset, train: TrainConfig) -> AttackResult:
-    """Continue cross-entropy training of a copy of the source."""
-    return _run_fit(f.spec, data, train, data.labels, init=f.theta.copy())
+def finetune(f: Model, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
+    """Continue cross-entropy training of copies of the source."""
+    return _run_fit(f.spec, data, trains, data.labels, init=f.theta)
 
 
-def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, train: TrainConfig,
-               gamma: float | None = None, prune_ratio: float | None = None) -> AttackResult:
-    """Run attack `kind`; the names resolve at each call, so a wrapper set on this module sees it."""
+def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, trains: list[TrainConfig],
+               gamma: float | None = None, prune_ratio: float | None = None) -> list[AttackResult]:
+    """Run attack `kind` once per training config, as one stack, and return
+    one result per run. The names resolve at each call, so a wrapper set on
+    this module sees it."""
     check_params(kind, gamma, prune_ratio)
     match kind:
         case "soft_label":
-            return steal_soft(f, spec, data, train)
+            return steal_soft(f, spec, data, trains)
         case "hard_label":
-            return steal_hard(f, spec, data, train)
+            return steal_hard(f, spec, data, trains)
         case "rgt":
-            return steal_rgt(f, spec, data, train, gamma)
+            return steal_rgt(f, spec, data, trains, gamma)
         case "prune":
-            return prune(f, data, prune_ratio)
+            return prune(f, data, prune_ratio, len(trains))
         case "finetune":
-            return finetune(f, data, train)
+            return finetune(f, data, trains)
     raise InputError(f"unknown attack kind {kind!r}")

@@ -39,8 +39,8 @@ EXIT_EXPERIMENT = 3
 # a wrapper already set on cli.<name>.
 _RUN_SIDE = {
     "config": ("ExperimentConfig", "load_config"),
-    "harness": ("build_trigger_set", "derive_seed", "run_attacks", "run_experiment", "setup",
-                "train_independent"),
+    "harness": ("build_trigger_set", "derive_seed", "make_ball", "run_attacks", "run_experiment",
+                "setup", "train_independent"),
 }
 
 
@@ -84,6 +84,7 @@ def cmd_train(args) -> int:
 def cmd_watermark(args) -> int:
     cfg, outdir = _load(args)
     s = setup(cfg)
+    make_ball(cfg, s.source, s.train_data)  # a ball that cannot be built fails before any file is written
     save_checkpoint(s.source, outdir / "source.ckpt")
     ts = build_trigger_set(cfg, s)
     save_trigger_set(ts, outdir / "trigger_set.json")
@@ -134,8 +135,9 @@ def cmd_verify(args) -> int:
 def cmd_integrity(args) -> int:
     cfg, outdir = _load(args)
     s = setup(cfg)
-    complement = train_independent(
-        s.spec, s.train_data, cfg.independents.subset_fraction, derive_seed(cfg.seed, 4),
+    make_ball(cfg, s.source, s.train_data)  # before the complement is trained
+    (complement,) = train_independent(
+        s.spec, s.train_data, cfg.independents.subset_fraction, [derive_seed(cfg.seed, 4)],
         train_cfg=s.train_cfg,
     )
     plain = build_trigger_set(cfg, s)

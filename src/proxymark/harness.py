@@ -32,8 +32,8 @@ import numpy as np
 from . import attacks as atk
 from .config import AttackBlock, ExperimentConfig
 from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split
-from .errors import InputError
-from .nn import Model, ModelSpec, TrainConfig, accuracy, save_checkpoint, train
+from .errors import InputError, TrainingDivergedError
+from .nn import Model, ModelSpec, TrainConfig, accuracy, fit_many, save_checkpoint, train
 from .stats import (
     TransferabilityBound,
     Verdict,
@@ -110,19 +110,23 @@ def _given(block: AttackBlock) -> dict:
 
 
 def train_independent(
-    spec: ModelSpec, data: Dataset, subset_fraction: float, seed: int, train_cfg: TrainConfig
-) -> Model:
-    """Train on a seeded random subset; fraction 1.0 shares the plain path."""
+    spec: ModelSpec, data: Dataset, subset_fraction: float, seeds: list[int], train_cfg: TrainConfig
+) -> list[Model]:
+    """One model per seed, each on its own seeded random subset of the same
+    size, trained as one stack; fraction 1.0 trains on all of the data."""
     check_subset_fraction(subset_fraction)
-    cfg = replace(train_cfg, seed=seed)
-    if subset_fraction < 1.0:
-        size = int(subset_fraction * data.n)
-        if size == 0:
-            raise InputError("subset_fraction produces an empty training set")
-        picker = np.random.default_rng([seed, 99])
-        idx = np.sort(picker.choice(data.n, size=size, replace=False))
-        data = data.subset(idx)
-    return train(spec, data, cfg)
+    size = int(subset_fraction * data.n)
+    if size == 0:
+        raise InputError("subset_fraction produces an empty training set")
+    subsets = [data if subset_fraction == 1.0 else
+               data.subset(np.sort(np.random.default_rng([seed, 99]).choice(data.n, size=size, replace=False)))
+               for seed in seeds]
+    outcomes = fit_many(spec, [d.features for d in subsets], [d.labels for d in subsets],
+                        [replace(train_cfg, seed=seed) for seed in seeds])
+    for outcome in outcomes:
+        if isinstance(outcome, TrainingDivergedError):
+            raise outcome
+    return [model for model, _ in outcomes]
 
 
 def make_ball(cfg: ExperimentConfig, source: Model, reference: Dataset) -> ProxyBall:
@@ -262,37 +266,39 @@ def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] 
     return verify_trigger_set(s.holdout, s.source, ball, vcfg, complements)
 
 
-def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, int, str, Callable]]:
-    """(block, seed, checkpoint name, call) for each run of each configured
-    attack, `repeats` runs each (seed tags 2, ai, k); the call runs it."""
+def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, list[int], list[str], Callable]]:
+    """(block, seeds, checkpoint names, call) for each configured attack: its
+    `repeats` runs (seed tags 2, ai, k), which the call trains as one stack."""
     runs = []
-    for ai, block in enumerate(cfg.attacks):
-        for k in range(cfg.repeats):
-            seed = derive_seed(cfg.seed, 2, ai, k)
-            call = partial(_run_attack, s, block, seed)
-            runs.append((block, seed, f"surrogate_{block.kind}_{ai}_{k}.ckpt", call))
+    for ai, block in enumerate(cfg.attacks if cfg.repeats else ()):
+        seeds = [derive_seed(cfg.seed, 2, ai, k) for k in range(cfg.repeats)]
+        names = [f"surrogate_{block.kind}_{ai}_{k}.ckpt" for k in range(cfg.repeats)]
+        runs.append((block, seeds, names, partial(_run_attack, s, block, seeds)))
     return runs
 
 
-def _run_attack(s: Setup, block: AttackBlock, seed: int) -> atk.AttackResult:
-    """One run of `block`: the source's spec and training config with its overrides and seed."""
+def _run_attack(s: Setup, block: AttackBlock, seeds: list[int]) -> list[atk.AttackResult]:
+    """The runs of `block`: the source's spec and training config with its overrides, one seed each."""
     given = _given(block)
     spec, train = (replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
-                   for base in (s.spec, replace(s.train_cfg, seed=seed)))
-    return atk.run_attack(s.source, block.kind, spec, s.train_data, train, block.gamma, block.prune_ratio)
+                   for base in (s.spec, s.train_cfg))
+    trains = [replace(train, seed=seed) for seed in seeds]
+    return atk.run_attack(s.source, block.kind, spec, s.train_data, trains, block.gamma, block.prune_ratio)
 
 
 def _save_surrogates(runs: list, results, ckpt_dir: Path):
-    for (block, seed, name, _), result in zip(runs, results):
-        path = ckpt_dir / name
-        save_checkpoint(result.surrogate, path)
-        yield block, seed, path, result
+    for (block, seeds, names, _), block_results in zip(runs, results):
+        for seed, name, result in zip(seeds, names, block_results):
+            path = ckpt_dir / name
+            save_checkpoint(result.surrogate, path)
+            yield block, seed, path, result
 
 
 def run_attacks(cfg: ExperimentConfig, s: Setup, ckpt_dir: Path):
-    """Run every configured attack `repeats` times (seed tags 2, ai, k) over
-    the process's CPUs, save each surrogate as `surrogate_<kind>_<ai>_<k>.ckpt`
-    and yield (block, seed, checkpoint path, result), in that order."""
+    """Run every configured attack `repeats` times (seed tags 2, ai, k), each
+    block as one stack over the process's CPUs, save each surrogate as
+    `surrogate_<kind>_<ai>_<k>.ckpt` and yield (block, seed, checkpoint path,
+    result), in that order."""
     runs = _attack_runs(cfg, s)
     yield from _save_surrogates(runs, _fan_out([call for *_, call in runs]), ckpt_dir)
 
@@ -305,17 +311,18 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     s = setup(cfg)
+    make_ball(cfg, s.source, s.train_data)  # a ball that cannot be built fails before any file is written
     save_checkpoint(s.source, ckpt_dir / "source.ckpt")
 
     # The trigger set, the independents and the attacks depend only on the
-    # source and the config: compute them over the process's CPUs, then
-    # write them here in the order a serial loop would.
+    # source and the config: compute them over the process's CPUs, one call
+    # per stack, then write them here in the order a serial loop would.
     independent_seeds = [derive_seed(cfg.seed, 3, k) for k in range(cfg.independents.count)]
     attacks = _attack_runs(cfg, s)
     results = _fan_out(
         [lambda: build_trigger_set(cfg, s)]
-        + [partial(train_independent, s.spec, s.train_data, cfg.independents.subset_fraction, seed,
-                   train_cfg=s.train_cfg) for seed in independent_seeds]
+        + [partial(train_independent, s.spec, s.train_data, cfg.independents.subset_fraction,
+                   independent_seeds, train_cfg=s.train_cfg)] * bool(independent_seeds)
         + [call for *_, call in attacks]
     )
     trigger_set = next(results)
@@ -325,8 +332,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     bound = TransferabilityBound(p_hat, cfg.ball.alpha, lemma_bound(trigger_set.n, cfg.ball.alpha))
 
     independents: list[tuple[int, Model]] = []  # (seed, model)
-    for k, seed in enumerate(independent_seeds):
-        g = next(results)
+    for k, (seed, g) in enumerate(zip(independent_seeds, next(results) if independent_seeds else ())):
         independents.append((seed, g))
         save_checkpoint(g, ckpt_dir / f"independent_{k}.ckpt")
 

@@ -8,8 +8,9 @@ appear at file-format boundaries.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,19 +92,23 @@ class TrainConfig:
             raise InputError("batch_size must be >= 1")
 
 
+def _stack_layers(spec: ModelSpec, theta: np.ndarray, k: int):
+    """Per-layer (W, b) views of a layer-major stack of k models: a layer's k
+    weight matrices, (k, fan_in, fan_out), then its k bias rows, (k, fan_out).
+    At k=1 this is one model's own parameter layout."""
+    dims = spec.layer_dims
+    layers, offset = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = theta[offset : offset + k * fan_in * fan_out].reshape(k, fan_in, fan_out)
+        offset += k * fan_in * fan_out
+        layers.append((w, theta[offset : offset + k * fan_out].reshape(k, fan_out)))
+        offset += k * fan_out
+    return layers
+
+
 def unpack(spec: ModelSpec, theta: np.ndarray):
     """Split a flat parameter vector into per-layer (W, b) views."""
-    dims = spec.layer_dims
-    layers = []
-    offset = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = theta[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    return [(w[0], b[0]) for w, b in _stack_layers(spec, theta, 1)]
 
 
 def init_theta(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -133,11 +138,13 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place. The row max, exact in any order, is
-    read from a column-major copy, which numpy reduces several times faster."""
-    logits -= np.asfortranarray(logits).max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of a contiguous array, in place, on its 2-D
+    view of rows. The row max, exact in any order, is read from a column-major
+    copy, which numpy reduces several times faster."""
+    rows = logits.reshape(-1, logits.shape[-1])
+    rows -= np.asfortranarray(rows).max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
     return logits
 
 
@@ -189,26 +196,34 @@ def _teacher_terms(targets: np.ndarray):
     return targets, np.log(np.clip(targets, PROB_FLOOR, 1.0)), targets > 0
 
 
-def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> float:
-    """Mean batch loss gamma * KL(teacher || probs) + (1 - gamma) * CE(labels),
-    its gradient wrt the logits written over probs. teacher is None (CE alone) or
-    the batch rows of _teacher_terms(); labels is None for KL alone."""
+def _model_sums(terms: np.ndarray) -> np.ndarray:
+    """Each model's sum over a rows-major (rows, k, ...) array. Each sums a
+    contiguous copy of its own terms, in the pairwise order of a model alone."""
+    return np.ascontiguousarray(terms.swapaxes(0, 1)).reshape(terms.shape[1], -1).sum(axis=1)
+
+
+def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
+    """Each model's mean batch loss gamma * KL(teacher || probs) + (1 - gamma) *
+    CE(labels), its gradient wrt the logits written over probs. probs is
+    rows-major, (rows, k, classes); labels (rows, k) is None for KL alone;
+    teacher is None (CE alone) or the batch rows of _teacher_terms()."""
     n = len(probs)
     if teacher is not None:
         t, log_t, t_pos = teacher
         terms = np.log(np.clip(probs, PROB_FLOOR, 1.0))
         np.subtract(log_t, terms, out=terms)
         terms *= t
-        kl_loss = float(np.where(t_pos, terms, 0.0).sum() / n)
+        kl_loss = _model_sums(np.where(t_pos, terms, 0.0)) / n
         if labels is None:
             probs -= t
             probs /= n
             return kl_loss
         kl_grad = gamma * ((probs - t) / n)
-    rows = np.arange(n)
+    flat = probs.reshape(-1)
+    picked = np.arange(0, flat.size, probs.shape[-1]) + labels.ravel()
     # sum / n is how np.mean computes, without its per-call overhead
-    loss = float(-(np.log(np.clip(probs[rows, labels], PROB_FLOOR, 1.0)).sum() / n))
-    probs[rows, labels] -= 1.0
+    loss = -(_model_sums(np.log(np.clip(flat[picked], PROB_FLOOR, 1.0)).reshape(labels.shape)) / n)
+    flat[picked] -= 1.0
     probs /= n
     if teacher is None:
         return loss
@@ -217,23 +232,43 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> float:
     return gamma * kl_loss + (1.0 - gamma) * loss
 
 
-def _step(layers, glayers, act: str, x: np.ndarray, labels, teacher, gamma: float) -> float:
-    """One forward and backward pass: returns the _loss_grad() loss and writes its
-    gradient into the glayers views. Bias, activation, softmax and loss gradient act in place."""
-    post, last = [x], len(layers) - 1
+class _Batch:
+    """Rows-major buffers for one batch shape of a stack: per layer, its input
+    or output (rows, k, width), and per hidden layer its delta, each with the
+    (k, rows, width) view through which np.matmul runs one GEMM per model on
+    strided rows. post_kt holds the (k, width, rows) views of the weight
+    gradients' GEMMs. Kept across steps, so a step allocates none of them."""
+
+    def __init__(self, dims: tuple[int, ...], rows: int, k: int):
+        self.post = [np.empty((rows, k, d)) for d in dims]
+        self.delta = [np.empty((rows, k, d)) for d in dims[:-1]]  # [0] is never written
+        self.post_k = [a.transpose(1, 0, 2) for a in self.post]
+        self.post_kt = [a.transpose(1, 2, 0) for a in self.post]
+        self.delta_k = [a.transpose(1, 0, 2) for a in self.delta]
+
+
+def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float) -> np.ndarray:
+    """One forward and backward pass of a stack on the rows in buf.post[0]:
+    returns the k _loss_grad() losses and writes their gradients into the
+    glayers views (_stack_layers). Bias, activation, softmax and loss gradient
+    act on the whole stack in place."""
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = post[-1] @ w
+        np.matmul(buf.post_k[i], w, out=buf.post_k[i + 1])
+        z = buf.post[i + 1]
         z += b
-        post.append(z if i == last else _activate(z, act))
-    delta = _softmax(post.pop())
+        if i < last:
+            _activate(z, act)
+    delta, delta_k = _softmax(buf.post[-1]), buf.post_k[-1]
     loss = _loss_grad(delta, labels, teacher, gamma)
     for i in range(last, -1, -1):
         gw, gb = glayers[i]
-        np.matmul(post[i].T, delta, out=gw)
+        np.matmul(buf.post_kt[i], delta_k, out=gw)
         delta.sum(axis=0, out=gb)
         if i:
-            delta = delta @ layers[i][0].T
-            delta *= (post[i] > 0) if act == "relu" else 1.0 - post[i] * post[i]
+            np.matmul(delta_k, layers[i][0].transpose(0, 2, 1), out=buf.delta_k[i])
+            delta, delta_k, post = buf.delta[i], buf.delta_k[i], buf.post[i]
+            delta *= (post > 0) if act == "relu" else 1.0 - post * post
     return loss
 
 
@@ -254,20 +289,148 @@ def gradients(model: Model, features, targets, loss: str = "ce") -> np.ndarray:
             raise InputError("labels must be one integer per batch row")
         if labels.min() < 0 or labels.max() >= spec.num_classes:
             raise InputError("label out of range")
+        labels = labels[:, None]
     elif loss == "kl_to_targets":
         t = np.asarray(targets, dtype=np.float64)
         if t.shape != (x.shape[0], spec.num_classes):
             raise InputError("targets must match the batch probability shape")
-        teacher = _teacher_terms(t)
+        teacher = _teacher_terms(t[:, None])
     else:
         raise InputError(f"unknown loss {loss!r}")
     grad = np.empty_like(model.theta)
-    _step(unpack(spec, model.theta), unpack(spec, grad), spec.activation, x, labels, teacher, 1.0)
+    buf = _Batch(spec.layer_dims, len(x), 1)
+    buf.post[0][:, 0] = x
+    _step(_stack_layers(spec, model.theta, 1), _stack_layers(spec, grad, 1), spec.activation, buf,
+          labels, teacher, 1.0)
     return grad
 
 
-# Divergence raises TrainingDivergedError; numpy's warnings would print once per worker.
+def _check_model_data(spec: ModelSpec, features, labels, teacher_probs) -> np.ndarray:
+    x, _ = _check_features(spec, features)
+    n = x.shape[0]
+    if n == 0:
+        raise InputError("training data must be non-empty")
+    if labels is not None:
+        if labels.shape != (n,):
+            raise InputError(f"{labels.size} labels for {n} feature rows")
+        if labels.min() < 0 or labels.max() >= spec.num_classes:
+            raise InputError("label out of range")
+    if teacher_probs is not None and np.shape(teacher_probs) != (n, spec.num_classes):
+        raise InputError(
+            f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs)}"
+        )
+    return x
+
+
+# Divergence is returned per model; numpy's warnings would print once per worker.
 @np.errstate(over="ignore", invalid="ignore")
+def fit_many(
+    spec: ModelSpec,
+    xs: list,
+    ys: list | None,
+    cfgs: list[TrainConfig],
+    *,
+    teacher_probs: list | None = None,
+    gamma: float = 0.0,
+    inits: list | None = None,
+) -> list:
+    """Train k same-spec models in lock step, one per entry of xs, ys (None for
+    KL alone), cfgs and, when given, teacher_probs and inits. Every model has the
+    same number of rows, and the configs differ at most in their seeds. The loss
+    is fit's.
+
+    Activations and deltas are rows-major, (rows, k, width); parameters, their
+    gradient and velocity form one layer-major vector (_stack_layers). So each
+    bias add, column sum, activation, softmax and update is one numpy call over
+    the stack, while each model's products stay its own GEMMs. Each model draws
+    its initial weights and batch order from its own generator, so it comes out
+    bit for bit as fit trains it alone.
+
+    Returns, per model, (Model, loss history) or the TrainingDivergedError that
+    fit raises for it; a model that diverges leaves the others unchanged.
+    """
+    k = len(xs)
+    if any(v is not None and len(v) != k for v in (ys, cfgs, teacher_probs, inits)):
+        raise InputError(f"{k} feature arrays, but not one label array, config, teacher and start each")
+    if not 0.0 <= gamma <= 1.0:
+        raise InputError(f"gamma must be in [0, 1], got {gamma}")
+    if gamma and teacher_probs is None:
+        raise InputError("gamma > 0 needs teacher_probs")
+    if gamma < 1.0 and ys is None:
+        raise InputError("labels are required unless gamma=1 with teacher targets")
+    if k == 0:
+        return []
+    labels = None if ys is None else [np.asarray(y, dtype=np.int64) for y in ys]
+    xs = [_check_model_data(spec, xs[j], None if labels is None else labels[j],
+                            None if teacher_probs is None else teacher_probs[j]) for j in range(k)]
+    n = len(xs[0])
+    if any(len(x) != n for x in xs):
+        raise InputError(f"a stack trains on one row count, got {sorted({len(x) for x in xs})}")
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise InputError("the training configs of a stack may differ only in their seeds")
+    batch_size = min(cfg.batch_size, n)
+    steps = -(-n // batch_size)
+
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    theta = np.empty(k * spec.num_params)
+    layers = _stack_layers(spec, theta, k)
+    for j, rng in enumerate(rngs):
+        start = Model(spec, init_theta(spec, rng) if inits is None else inits[j]).theta
+        for (w, b), (wj, bj) in zip(layers, unpack(spec, start)):
+            w[j], b[j] = wj, bj
+    grad, step = np.empty_like(theta), np.empty_like(theta)
+    glayers = _stack_layers(spec, grad, k)
+    velocity = np.zeros_like(theta)
+    losses = []  # each step's k losses
+    failed: dict[int, TrainingDivergedError] = {}
+
+    # row r of model j at r * k + j, so one take() gathers a batch for all k
+    x = np.stack(xs, axis=1).reshape(n * k, -1)
+    y = np.stack(labels, axis=1).ravel() if gamma < 1.0 else None
+    teacher = None
+    if gamma > 0.0:
+        t = np.stack([np.asarray(p, dtype=np.float64) for p in teacher_probs], axis=1)
+        teacher = tuple(a.reshape(n * k, -1) for a in _teacher_terms(t))
+    perms, cols = np.empty((n, k), dtype=np.intp), np.arange(k)
+    bufs = {rows: _Batch(spec.layer_dims, rows, k) for rows in {batch_size, n % batch_size} if rows}
+
+    for _ in range(cfg.epochs):
+        for j, rng in enumerate(rngs):
+            perms[:, j] = rng.permutation(n)
+        rows = perms * k + cols if k > 1 else perms
+        for start in range(0, n, batch_size):
+            idx = rows[start : start + batch_size]
+            # take() gathers rows several times faster than fancy indexing; every
+            # index is in range, and a clipping take() writes its out= unbuffered
+            buf = bufs[len(idx)]
+            x.take(idx, axis=0, out=buf.post[0], mode="clip")
+            yb = None if y is None else y.take(idx)
+            tb = None if teacher is None else tuple(a.take(idx, axis=0) for a in teacher)
+            loss = _step(layers, glayers, spec.activation, buf, yb, tb, gamma)
+            if not all(map(math.isfinite, loss.tolist())):
+                for j, value in enumerate(loss.tolist()):
+                    if not math.isfinite(value):
+                        failed.setdefault(j, TrainingDivergedError(f"loss became {value}"))
+                if len(failed) == k:
+                    return [failed[j] for j in range(k)]
+            if cfg.weight_decay:
+                theta *= 1.0 - cfg.weight_decay
+            velocity *= cfg.momentum
+            velocity += grad
+            theta -= np.multiply(velocity, cfg.learning_rate, out=step)
+            losses.append(loss)
+    # each model's epoch means as np.mean takes them over its own batch losses
+    history = np.ascontiguousarray(np.reshape(losses, (cfg.epochs, steps, k)).transpose(2, 0, 1)).mean(axis=2)
+    outcomes = []
+    for j in range(k):
+        theta_j = np.concatenate([a[j].ravel() for layer in layers for a in layer])
+        if j not in failed and not np.all(np.isfinite(theta_j)):
+            failed[j] = TrainingDivergedError("parameters became non-finite")
+        outcomes.append(failed[j] if j in failed else (Model(spec, theta_j), history[j].tolist()))
+    return outcomes
+
+
 def fit(
     spec: ModelSpec,
     features: np.ndarray,
@@ -278,7 +441,8 @@ def fit(
     gamma: float = 0.0,
     init: np.ndarray | None = None,
 ) -> tuple[Model, list[float]]:
-    """Shared SGD loop behind train() and the stealing attacks.
+    """Shared SGD loop behind train() and the stealing attacks: fit_many's
+    one-model stack, raising its TrainingDivergedError.
 
     With teacher_probs=None the loss is plain cross-entropy on labels.
     Otherwise the per-batch loss is
@@ -287,62 +451,12 @@ def fit(
     degenerate cases are bitwise identical to plain training / distillation.
     Weight decay is decoupled (theta *= 1 - wd before the step).
     """
-    x, _ = _check_features(spec, features)
-    n = x.shape[0]
-    if n == 0:
-        raise InputError("training data must be non-empty")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise InputError(f"{labels.size} labels for {n} feature rows")
-        if labels.min() < 0 or labels.max() >= spec.num_classes:
-            raise InputError("label out of range")
-    if teacher_probs is not None and np.shape(teacher_probs) != (n, spec.num_classes):
-        raise InputError(
-            f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs)}"
-        )
-    if not 0.0 <= gamma <= 1.0:
-        raise InputError(f"gamma must be in [0, 1], got {gamma}")
-    if gamma and teacher_probs is None:
-        raise InputError("gamma > 0 needs teacher_probs")
-    batch_size = min(cfg.batch_size, n)
-
-    rng = np.random.default_rng(cfg.seed)
-    theta = init_theta(spec, rng) if init is None else np.array(init, dtype=np.float64)
-    model = Model(spec, theta)
-    layers = unpack(spec, theta)
-    grad, step = np.empty_like(theta), np.empty_like(theta)
-    glayers = unpack(spec, grad)
-    velocity = np.zeros_like(theta)
-    history: list[float] = []
-
-    use_ce = gamma < 1.0
-    if use_ce and labels is None:
-        raise InputError("labels are required unless gamma=1 with teacher targets")
-    teacher = _teacher_terms(np.asarray(teacher_probs)) if gamma > 0.0 else None
-
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            # take() gathers rows several times faster than fancy indexing
-            yb = labels.take(idx) if use_ce else None
-            tb = None if teacher is None else tuple(a.take(idx, axis=0) for a in teacher)
-            loss = _step(layers, glayers, spec.activation, x.take(idx, axis=0), yb, tb, gamma)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"loss became {loss}")
-            if cfg.weight_decay:
-                theta *= 1.0 - cfg.weight_decay
-            velocity *= cfg.momentum
-            velocity += grad
-            theta -= np.multiply(velocity, cfg.learning_rate, out=step)
-            losses.append(loss)
-        # np.mean of one value is 0.0 + value, which turns -0.0 into 0.0
-        history.append(losses[0] + 0.0 if len(losses) == 1 else float(np.mean(losses)))
-    if not np.all(np.isfinite(theta)):
-        raise TrainingDivergedError("parameters became non-finite")
-    return model, history
+    (outcome,) = fit_many(spec, [features], None if labels is None else [labels], [cfg],
+                          teacher_probs=None if teacher_probs is None else [teacher_probs],
+                          gamma=gamma, inits=None if init is None else [init])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
 
 
 def train(spec: ModelSpec, data, cfg: TrainConfig) -> Model:

@@ -148,7 +148,8 @@ def check_alpha(alpha: float) -> None:
 
 
 def clopper_pearson_lower(t: int, m: int, alpha: float) -> float:
-    """One-sided lower confidence bound: the alpha/2 quantile of Beta(t, m-t+1)."""
+    """One-sided lower confidence bound: the alpha/2 quantile of Beta(t, m-t+1).
+    At t = 0 and t = m it has a closed form: 0 and (alpha/2)^(1/m)."""
     if m < 1:
         raise InputError("m must be >= 1")
     if not (0 <= t <= m):
@@ -156,6 +157,8 @@ def clopper_pearson_lower(t: int, m: int, alpha: float) -> float:
     check_alpha(alpha)
     if t == 0:
         return 0.0
+    if t == m:
+        return (alpha / 2.0) ** (1.0 / m)
     return beta_quantile(alpha / 2.0, float(t), float(m - t + 1))
 
 

@@ -119,8 +119,9 @@ def check_ball(delta: float, tau: float, sigma: float | None) -> None:
 
 
 def relative_delta(source: Model, fraction: float = 0.05) -> float:
-    """Delta as a fraction of the source weight norm (desk-scale default)."""
-    return float(fraction * np.linalg.norm(source.theta))
+    """Delta as a fraction of the source weight norm (desk-scale default). The
+    product is taken in Python floats, where an overflow is inf, not a warning."""
+    return float(fraction) * float(np.linalg.norm(source.theta))
 
 
 @dataclass(frozen=True)

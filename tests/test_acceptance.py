@@ -86,7 +86,7 @@ def separation_runs():
         _, s, trigger_set = _built(SEPARATION, seed)
         query = pm.make_blobs(K, dim, 300, 3.5, seed=derive_seed(seed, 77))
         attack_train = replace(s.train_cfg, seed=derive_seed(seed, 2, 0, 0))
-        surrogate = atk.steal_soft(s.source, s.spec, query, attack_train).surrogate
+        surrogate = atk.steal_soft(s.source, s.spec, query, [attack_train])[0].surrogate
 
         ind_per_class = max(s.train_data.n // (2 * K), 1)  # half-size fresh draws
         ind_accs = []
@@ -141,7 +141,8 @@ def _numeric_gradient(model, x, labels, eps=1e-6):
     from proxymark.nn import _loss_grad
 
     def loss_at(theta):
-        return _loss_grad(pm.forward(pm.Model(model.spec, theta), x), labels, None, 0.0)
+        probs = pm.forward(pm.Model(model.spec, theta), x)[:, None]  # a stack of one model
+        return _loss_grad(probs, labels[:, None], None, 0.0)[0]
 
     grad = np.zeros_like(model.theta)
     for i in range(model.theta.size):
@@ -280,10 +281,10 @@ def test_criterion_08_degenerate_gamma_equivalence():
     source = pm.train(spec, train_data, pm.TrainConfig(epochs=40, seed=9))
     shared = pm.TrainConfig(epochs=40, seed=10)
 
-    rgt0 = atk.steal_rgt(source, spec, train_data, shared, 0.0)
+    (rgt0,) = atk.steal_rgt(source, spec, train_data, [shared], 0.0)
     plain = pm.train(spec, train_data, shared)
-    rgt1 = atk.steal_rgt(source, spec, train_data, shared, 1.0)
-    soft = atk.steal_soft(source, spec, train_data, shared)
+    (rgt1,) = atk.steal_rgt(source, spec, train_data, [shared], 1.0)
+    (soft,) = atk.steal_soft(source, spec, train_data, [shared])
     elapsed = time.monotonic() - start
     eq0 = np.array_equal(rgt0.surrogate.theta, plain.theta)
     eq1 = np.array_equal(rgt1.surrogate.theta, soft.surrogate.theta)
@@ -329,7 +330,7 @@ def test_criterion_10_finetune_retention(separation_runs):
         baseline = float(np.mean(run.independent_accs))
         ft_train = replace(run.s.train_cfg, epochs=100, learning_rate=0.01,
                            seed=derive_seed(seed, 2, 4, 0))
-        tuned = atk.finetune(run.s.source, run.s.train_data, ft_train).surrogate
+        tuned = atk.finetune(run.s.source, run.s.train_data, [ft_train])[0].surrogate
         retained = pm.trigger_accuracy(run.trigger_set, tuned)
         seeds_ok += retained > baseline
         details.append(f"s{seed}: {retained:.2f} vs {baseline:.2f}")

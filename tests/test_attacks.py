@@ -24,7 +24,7 @@ TRAIN = pm.TrainConfig(epochs=40, seed=50)
 class TestDistillation:
     def test_soft_label_copies_source(self, setting):
         data, spec, source = setting
-        result = atk.steal_soft(source, spec, data, TRAIN)
+        result = atk.steal_soft(source, spec, data, [TRAIN])[0]
         agree = np.mean(pm.predict(result.surrogate, data.features) == pm.predict(source, data.features))
         assert agree > 0.9
         assert result.clean_accuracy > 0.8
@@ -32,7 +32,7 @@ class TestDistillation:
 
     def test_hard_label_trains_on_source_predictions(self, setting):
         data, spec, source = setting
-        result = atk.steal_hard(source, spec, data, TRAIN)
+        result = atk.steal_hard(source, spec, data, [TRAIN])[0]
         want, history = fit(spec, data.features, pm.predict(source, data.features), TRAIN)
         assert result.surrogate.theta.tobytes() == want.theta.tobytes()
         assert result.loss_history == history
@@ -40,43 +40,43 @@ class TestDistillation:
     def test_source_never_mutated(self, setting):
         data, spec, source = setting
         before = source.theta.copy()
-        atk.steal_soft(source, spec, data, TRAIN)
-        atk.steal_hard(source, spec, data, TRAIN)
-        atk.steal_rgt(source, spec, data, TRAIN, 0.5)
+        atk.steal_soft(source, spec, data, [TRAIN])
+        atk.steal_hard(source, spec, data, [TRAIN])
+        atk.steal_rgt(source, spec, data, [TRAIN], 0.5)
         atk.prune(source, data, 0.5)
-        atk.finetune(source, data, TRAIN)
+        atk.finetune(source, data, [TRAIN])
         assert np.array_equal(source.theta, before)
 
     def test_cross_architecture_surrogate(self, setting):
         data, _, source = setting
         other = pm.ModelSpec(2, (8, 8), 4)
-        result = atk.steal_soft(source, other, data, TRAIN)
+        result = atk.steal_soft(source, other, data, [TRAIN])[0]
         assert result.surrogate.spec == other
 
     def test_dimension_mismatch_rejected(self, setting):
         data, _, source = setting
         bad_spec = pm.ModelSpec(3, (8,), 4)
         with pytest.raises(InputError):
-            atk.steal_soft(source, bad_spec, data, TRAIN)
+            atk.steal_soft(source, bad_spec, data, [TRAIN])
 
 
 class TestDegenerateGamma:
     def test_gamma_zero_bitwise_equals_plain_training(self, setting):
         data, spec, source = setting
-        result = atk.steal_rgt(source, spec, data, TRAIN, 0.0)
+        result = atk.steal_rgt(source, spec, data, [TRAIN], 0.0)[0]
         plain, _ = fit(spec, data.features, data.labels, TRAIN)
         assert np.array_equal(result.surrogate.theta, plain.theta)
 
     def test_gamma_one_bitwise_equals_soft_label(self, setting):
         data, spec, source = setting
-        rgt = atk.steal_rgt(source, spec, data, TRAIN, 1.0)
-        soft = atk.steal_soft(source, spec, data, TRAIN)
+        rgt = atk.steal_rgt(source, spec, data, [TRAIN], 1.0)[0]
+        soft = atk.steal_soft(source, spec, data, [TRAIN])[0]
         assert np.array_equal(rgt.surrogate.theta, soft.surrogate.theta)
 
     def test_interior_gamma_differs_from_both(self, setting):
         data, spec, source = setting
-        mid = atk.steal_rgt(source, spec, data, TRAIN, 0.5)
-        soft = atk.steal_soft(source, spec, data, TRAIN)
+        mid = atk.steal_rgt(source, spec, data, [TRAIN], 0.5)[0]
+        soft = atk.steal_soft(source, spec, data, [TRAIN])[0]
         plain, _ = fit(spec, data.features, data.labels, TRAIN)
         assert not np.array_equal(mid.surrogate.theta, soft.surrogate.theta)
         assert not np.array_equal(mid.surrogate.theta, plain.theta)
@@ -85,7 +85,7 @@ class TestDegenerateGamma:
 class TestPrune:
     def test_structural_zeroing(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, data, 0.5)
+        result = atk.prune(source, data, 0.5)[0]
         layers = unpack(spec, result.surrogate.theta)
         activities = atk.neuron_activity(source, data)
         cut = np.argsort(activities[0], kind="stable")[: int(0.5 * 16)]
@@ -99,13 +99,13 @@ class TestPrune:
 
     def test_ratio_zero_is_identity(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, data, 0.0)
+        result = atk.prune(source, data, 0.0)[0]
         assert np.array_equal(result.surrogate.theta, source.theta)
 
     def test_count_is_floor_of_ratio_times_width(self, setting):
         data, spec, source = setting
         # ratio 0.49 on width 16 cuts floor(7.84) = 7 neurons
-        result = atk.prune(source, data, 0.49)
+        result = atk.prune(source, data, 0.49)[0]
         w_in = unpack(spec, result.surrogate.theta)[0][0]
         assert np.sum(np.all(w_in == 0.0, axis=0)) == 7
 
@@ -133,12 +133,12 @@ class TestFinetune:
     def test_starts_from_source_weights(self, setting):
         data, spec, source = setting
         still = pm.TrainConfig(epochs=1, learning_rate=0.0, weight_decay=0.0, seed=50)
-        result = atk.finetune(source, data, still)
+        result = atk.finetune(source, data, [still])[0]
         assert np.array_equal(result.surrogate.theta, source.theta)
 
     def test_moves_weights_with_positive_lr(self, setting):
         data, spec, source = setting
-        result = atk.finetune(source, data, TRAIN)
+        result = atk.finetune(source, data, [TRAIN])[0]
         assert not np.array_equal(result.surrogate.theta, source.theta)
         assert result.clean_accuracy > 0.8
 
@@ -146,15 +146,15 @@ class TestFinetune:
 class TestRunAttack:
     def test_dispatch_matches_direct_calls(self, setting):
         data, spec, source = setting
-        direct = atk.steal_soft(source, spec, data, TRAIN)
-        routed = atk.run_attack(source, "soft_label", spec, data, TRAIN)
+        direct = atk.steal_soft(source, spec, data, [TRAIN])[0]
+        routed = atk.run_attack(source, "soft_label", spec, data, [TRAIN])[0]
         assert np.array_equal(direct.surrogate.theta, routed.surrogate.theta)
 
     def test_all_kinds_covered(self, setting):
         data, spec, source = setting
         kw = {"rgt": {"gamma": 0.5}, "prune": {"prune_ratio": 0.25}}
         for kind in atk.ATTACK_KINDS:
-            result = atk.run_attack(source, kind, spec, data, TRAIN, **kw.get(kind, {}))
+            (result,) = atk.run_attack(source, kind, spec, data, [TRAIN], **kw.get(kind, {}))
             assert result.surrogate.spec == spec
 
     @pytest.mark.parametrize(
@@ -166,9 +166,9 @@ class TestRunAttack:
     def test_parameters_checked(self, setting, kind, kw, message):
         data, spec, source = setting
         with pytest.raises(InputError, match=message):
-            atk.run_attack(source, kind, spec, data, TRAIN, **kw)
+            atk.run_attack(source, kind, spec, data, [TRAIN], **kw)
 
     def test_unknown_kind(self, setting):
         data, spec, source = setting
         with pytest.raises(InputError, match="unknown attack kind 'steal_everything'"):
-            atk.run_attack(source, "steal_everything", spec, data, TRAIN)
+            atk.run_attack(source, "steal_everything", spec, data, [TRAIN])

@@ -289,11 +289,28 @@ class TestSubcommands:
         assert (tmp_path / "again" / "source.ckpt").read_bytes() == ckpt
 
 
+class TestBallOverflow:
+    @pytest.mark.parametrize("command", ["run", "watermark", "integrity"])
+    def test_overflowing_relative_delta_fails_before_any_checkpoint(self, config_file, command):
+        # 1e308 times the source's weight norm overflows: the product is inf and
+        # the ball check rejects it before a checkpoint is written or a model
+        # trained for it, with no numpy warning (a fresh interpreter prints them)
+        path, out = config_file
+        path.write_text(path.read_text().replace("delta: 0.05", "delta_mode: relative, delta: 1.0e+308"))
+        done = _python("-W", "default", "-m", "proxymark", command, "--config", str(path))
+        assert done.returncode == EXIT_EXPERIMENT
+        assert done.stderr == f"experiment error ({command}): delta must be finite and >= 0\n"
+        assert not list(out.rglob("*.ckpt"))
+
+
 class TestFanOut:
     def test_attack_writes_the_same_files_at_any_worker_count(self, config_file, tmp_path, capsys,
                                                               force_workers):
+        # three attack blocks of three repeats: one stack, so one call, per block
         path, _ = config_file
-        path.write_text(path.read_text().replace("repeats: 1", "repeats: 3"))
+        text = path.read_text().replace("repeats: 1", "repeats: 3")
+        path.write_text(text.replace("  - {kind: soft_label}",
+                                     "  - {kind: soft_label}\n  - {kind: hard_label}\n  - {kind: finetune}"))
         outcomes = {}
         for workers in (1, 2, 3):
             forks = force_workers(workers)
@@ -301,7 +318,7 @@ class TestFanOut:
                                             capsys)
             assert len(forks) == workers - 1
         code, _, _, files = outcomes[1]
-        assert code == EXIT_OK and len(files) == 3
+        assert code == EXIT_OK and len(files) == 9
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
     @staticmethod
@@ -402,8 +419,9 @@ class TestBenchmarkHooks:
 
         def wrap(fn):
             def wrapper(*args, **kwargs):
-                seen.append(fn.__name__)
-                return fn(*args, **kwargs)
+                results = fn(*args, **kwargs)
+                seen.append((fn.__name__, len(results)))
+                return results
             return wrapper
 
         names = ("steal_soft", "steal_hard", "steal_rgt", "prune", "finetune")
@@ -412,8 +430,8 @@ class TestBenchmarkHooks:
         config = Path(__file__).resolve().parents[1] / "configs" / "blob_default.yaml"
         assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        assert len(seen) == 15
-        assert seen == [name for name in names for _ in range(3)]
+        # one call per attack block, which runs the block's 3 repeats as one stack
+        assert seen == [(name, 3) for name in names]
 
     def test_cli_import_loads_no_process_pool(self):
         # a fresh-process `verify` (cli_verify_s) pays for every module that

@@ -325,7 +325,7 @@ class TestTrainIndependent:
 
         train_data, _ = blob_split
         cfg = pm.TrainConfig(epochs=20, seed=77)
-        g = train_independent(small_spec, train_data, 1.0, 77, train_cfg=cfg)
+        (g,) = train_independent(small_spec, train_data, 1.0, [77], train_cfg=cfg)
         plain = pm.train(small_spec, train_data, cfg)
         assert np.array_equal(g.theta, plain.theta)
 
@@ -333,9 +333,10 @@ class TestTrainIndependent:
         from proxymark.harness import train_independent
 
         train_data, _ = blob_split
-        a = train_independent(small_spec, train_data, 0.5, 3, pm.TrainConfig())
-        b = train_independent(small_spec, train_data, 0.5, 3, pm.TrainConfig())
-        assert np.array_equal(a.theta, b.theta)
+        a = train_independent(small_spec, train_data, 0.5, [3, 4], pm.TrainConfig())
+        b = train_independent(small_spec, train_data, 0.5, [3], pm.TrainConfig())
+        assert np.array_equal(a[0].theta, b[0].theta)
+        assert not np.array_equal(a[0].theta, a[1].theta)
 
     def test_bad_fraction(self, blob_split, small_spec):
         from proxymark.errors import InputError
@@ -343,9 +344,9 @@ class TestTrainIndependent:
 
         train_data, _ = blob_split
         with pytest.raises(InputError):
-            train_independent(small_spec, train_data, 0.0, 3, pm.TrainConfig())
+            train_independent(small_spec, train_data, 0.0, [3], pm.TrainConfig())
         with pytest.raises(InputError):
-            train_independent(small_spec, train_data, 1.5, 3, pm.TrainConfig())
+            train_independent(small_spec, train_data, 1.5, [3], pm.TrainConfig())
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -419,8 +420,8 @@ class TestFanOut:
         assert trees[2] == trees[1] and trees[3] == trees[1]
 
     def test_failed_attack_raises_and_leaves_what_a_serial_run_does(self, force_workers, tmp_path):
-        # the diverging finetune runs are calls 5 and 6 of 9 (trigger set, 2
-        # independents, 2 soft-label runs, then 2 finetune runs and 2 prune runs)
+        # the diverging finetune stack is call 4 of 5 (trigger set, the
+        # independents, the soft-label stack, then the finetune and prune stacks)
         text = SMALL_YAML.replace(
             "  - {{kind: prune", "  - {{kind: finetune, learning_rate: 10000.0}}\n  - {{kind: prune"
         ).replace("repeats: 1", "repeats: 2")

@@ -1,5 +1,7 @@
 """Network forward/backward passes, training loop, and checkpoint format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from proxymark.nn import (
     checkpoint_bytes,
     fingerprint,
     fit,
+    fit_many,
     init_model,
     init_theta,
     unpack,
@@ -120,10 +123,10 @@ def _numeric_gradient(model, x, targets, loss, eps=1e-6):
     from proxymark.nn import _loss_grad, _teacher_terms
 
     def loss_at(theta):
-        probs = pm.forward(pm.Model(model.spec, theta), x)
+        probs = pm.forward(pm.Model(model.spec, theta), x)[:, None]  # a stack of one model
         if loss == "ce":
-            return _loss_grad(probs, targets, None, 0.0)
-        return _loss_grad(probs, None, _teacher_terms(targets), 1.0)
+            return _loss_grad(probs, targets[:, None], None, 0.0)[0]
+        return _loss_grad(probs, None, _teacher_terms(targets[:, None]), 1.0)[0]
 
     grad = np.zeros_like(model.theta)
     for i in range(model.theta.size):
@@ -492,6 +495,68 @@ class TestFitEquivalence:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as caught:
             fit(spec, x, labels, cfg)
         assert str(caught.value) == want
+
+
+class TestFitMany:
+    """fit_many trains each model of a stack, on data of its own, as the
+    reference loop trains it alone: the same theta bytes and loss history bits
+    on every loss path. The data and the reference are TestFitEquivalence's."""
+
+    @staticmethod
+    def _same_as_alone(spec, xs, ys, cfgs, teachers=None, gamma=0.0, inits=None):
+        got = fit_many(spec, xs, ys, cfgs, teacher_probs=teachers, gamma=gamma, inits=inits)
+        assert len(got) == len(xs)
+        for j, (model, history) in enumerate(got):
+            pick = lambda v: None if v is None else v[j]  # noqa: E731
+            want_model, want_hist = _ref_fit(spec, xs[j], pick(ys), cfgs[j], teacher_probs=pick(teachers),
+                                             gamma=gamma, init=pick(inits))
+            assert model.theta.tobytes() == want_model.theta.tobytes()
+            assert np.array(history).tobytes() == np.array(want_hist).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch_size", [2048, 16])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_each_model_equals_its_solo_fit(self, activation, batch_size, k):
+        spec = pm.ModelSpec(3, (32, 32), 4, activation)
+        data = [TestFitEquivalence._data(4, 20 + j) for j in range(k)]
+        xs, ys, teachers = ([d[i] for d in data] for i in range(3))
+        cfgs = [pm.TrainConfig(epochs=4, learning_rate=0.1, batch_size=batch_size, seed=j + 1)
+                for j in range(k)]
+        self._same_as_alone(spec, xs, ys, cfgs)
+        self._same_as_alone(spec, xs, None, cfgs, teachers, 1.0)
+        for gamma in (0.5, 0.3):
+            self._same_as_alone(spec, xs, ys, cfgs, teachers, gamma)
+        # finetune: given starting points, no momentum, no decay
+        plain = [replace(c, momentum=0.0, weight_decay=0.0) for c in cfgs]
+        starts = [init_theta(spec, np.random.default_rng(2 + j)) for j in range(k)]
+        self._same_as_alone(spec, xs, ys, plain, inits=starts)
+
+    def test_a_diverging_member_fails_alone(self):
+        spec = pm.ModelSpec(3, (8, 8), 4)
+        data = [TestFitEquivalence._data(4, j) for j in range(3)]
+        xs, ys = [d[0] for d in data], [d[1] for d in data]
+        xs[1] = 1e160 * xs[1]  # its products overflow within a few steps
+        cfgs = [pm.TrainConfig(epochs=10, learning_rate=0.1, seed=j + 1) for j in range(3)]
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as alone:
+            _ref_fit(spec, xs[1], ys[1], cfgs[1])
+        got = fit_many(spec, xs, ys, cfgs)
+        assert isinstance(got[1], TrainingDivergedError) and str(got[1]) == str(alone.value)
+        with pytest.raises(TrainingDivergedError, match=str(alone.value)):
+            fit(spec, xs[1], ys[1], cfgs[1])
+        for j in (0, 2):
+            want, history = _ref_fit(spec, xs[j], ys[j], cfgs[j])
+            assert got[j][0].theta.tobytes() == want.theta.tobytes() and got[j][1] == history
+
+    def test_a_stack_shares_its_row_count_and_all_but_the_seeds(self):
+        spec = pm.ModelSpec(3, (8,), 4)
+        x, labels, _ = TestFitEquivalence._data(4, 0)
+        cfg = pm.TrainConfig(epochs=1)
+        with pytest.raises(InputError, match="row count"):
+            fit_many(spec, [x, x[:-1]], [labels, labels[:-1]], [cfg, cfg])
+        with pytest.raises(InputError, match="only in their seeds"):
+            fit_many(spec, [x, x], [labels, labels], [cfg, replace(cfg, learning_rate=0.5)])
+        assert len(fit_many(spec, [x, x], [labels, labels], [cfg, replace(cfg, seed=9)])) == 2
+        assert fit_many(spec, [], [], []) == []
 
 
 class TestNeuronActivity:

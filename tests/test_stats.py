@@ -91,8 +91,8 @@ class TestClopperPearson:
         rng = np.random.default_rng(0)
         for p in (0.7, 0.9, 0.99):
             ts = rng.binomial(m, p, size=draws)
-            bounds = np.array([pm.clopper_pearson_lower(int(t), m, alpha) for t in ts])
-            coverage = np.mean(bounds <= p)
+            bounds_by_t = np.array([pm.clopper_pearson_lower(t, m, alpha) for t in range(m + 1)])
+            coverage = np.mean(bounds_by_t[ts] <= p)
             assert coverage >= 1 - alpha - 0.01, (p, coverage)
 
     def test_rejects_bad_arguments(self):
