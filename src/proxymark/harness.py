@@ -11,6 +11,11 @@ numpy.random.SeedSequence([base_seed, *tags]); the tag layout is fixed:
     (10,)           blob generation (build_dataset)
     (11,)           hold-out split (setup)
 This derivation is documented here and must stay stable across versions.
+
+Models that train together form one stack (nn.fit_many): the independents,
+and the `repeats` runs of each attack block. After the source, run_experiment
+hands _fan_out one call per stack (the trigger set, the independents, then
+each attack block), and run_attacks one call per attack block.
 """
 
 from __future__ import annotations

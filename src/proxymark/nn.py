@@ -114,15 +114,9 @@ def unpack(spec: ModelSpec, theta: np.ndarray):
 def init_theta(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Glorot-uniform weights, zero biases, drawn from the given generator."""
     theta = np.zeros(spec.num_params)
-    dims = spec.layer_dims
-    offset = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        theta[offset : offset + fan_in * fan_out] = rng.uniform(
-            -limit, limit, size=fan_in * fan_out
-        )
-        offset += fan_in * fan_out + fan_out
+    for w, _ in unpack(spec, theta):
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
     return theta
 
 
@@ -137,14 +131,39 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z, out=z)
 
 
+def _pairwise_row_sums(cols: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Each row's sum of the n columns from lo of a column-major array, taken
+    down the columns in numpy's pairwise order, so that it equals bit for bit
+    rows.sum(axis=1) on the row-major array, without its loop per row."""
+    if n < 8:
+        res = cols[:, lo].copy()
+        for i in range(lo + 1, lo + n):
+            res += cols[:, i]
+        return res
+    if n <= 128:
+        r = [cols[:, lo + j].copy() for j in range(8)]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += cols[:, i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += cols[:, i]
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise_row_sums(cols, lo, half) + _pairwise_row_sums(cols, lo + half, n - half)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a contiguous array, in place, on its 2-D
-    view of rows. The row max, exact in any order, is read from a column-major
-    copy, which numpy reduces several times faster."""
+    """Softmax over the last axis of a contiguous array, in place. It runs on a
+    column-major copy of its rows, where each step is one loop over all rows
+    rather than a loop per row; the max is exact in any order."""
     rows = logits.reshape(-1, logits.shape[-1])
-    rows -= np.asfortranarray(rows).max(axis=1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
+    cols = np.asfortranarray(rows)
+    cols -= np.maximum.reduce(cols, axis=1, keepdims=True)
+    np.exp(cols, out=cols)
+    cols /= _pairwise_row_sums(cols, 0, cols.shape[1])[:, None]
+    rows[...] = cols
     return logits
 
 
@@ -196,10 +215,15 @@ def _teacher_terms(targets: np.ndarray):
     return targets, np.log(np.clip(targets, PROB_FLOOR, 1.0)), targets > 0
 
 
+def _clip_probs(p: np.ndarray) -> np.ndarray:
+    """np.clip(p, PROB_FLOOR, 1.0) as its two ufuncs, without np.clip's wrappers."""
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0)
+
+
 def _model_sums(terms: np.ndarray) -> np.ndarray:
     """Each model's sum over a rows-major (rows, k, ...) array. Each sums a
     contiguous copy of its own terms, in the pairwise order of a model alone."""
-    return np.ascontiguousarray(terms.swapaxes(0, 1)).reshape(terms.shape[1], -1).sum(axis=1)
+    return np.add.reduce(np.ascontiguousarray(terms.swapaxes(0, 1)).reshape(terms.shape[1], -1), axis=1)
 
 
 def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
@@ -210,7 +234,7 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
     n = len(probs)
     if teacher is not None:
         t, log_t, t_pos = teacher
-        terms = np.log(np.clip(probs, PROB_FLOOR, 1.0))
+        terms = np.log(_clip_probs(probs))
         np.subtract(log_t, terms, out=terms)
         terms *= t
         kl_loss = _model_sums(np.where(t_pos, terms, 0.0)) / n
@@ -222,7 +246,7 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
     flat = probs.reshape(-1)
     picked = np.arange(0, flat.size, probs.shape[-1]) + labels.ravel()
     # sum / n is how np.mean computes, without its per-call overhead
-    loss = -(_model_sums(np.log(np.clip(flat[picked], PROB_FLOOR, 1.0)).reshape(labels.shape)) / n)
+    loss = -(_model_sums(np.log(_clip_probs(flat[picked])).reshape(labels.shape)) / n)
     flat[picked] -= 1.0
     probs /= n
     if teacher is None:
@@ -264,7 +288,7 @@ def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float)
     for i in range(last, -1, -1):
         gw, gb = glayers[i]
         np.matmul(buf.post_kt[i], delta_k, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if i:
             np.matmul(delta_k, layers[i][0].transpose(0, 2, 1), out=buf.delta_k[i])
             delta, delta_k, post = buf.delta[i], buf.delta_k[i], buf.post[i]
@@ -305,35 +329,10 @@ def gradients(model: Model, features, targets, loss: str = "ce") -> np.ndarray:
     return grad
 
 
-def _check_model_data(spec: ModelSpec, features, labels, teacher_probs) -> np.ndarray:
-    x, _ = _check_features(spec, features)
-    n = x.shape[0]
-    if n == 0:
-        raise InputError("training data must be non-empty")
-    if labels is not None:
-        if labels.shape != (n,):
-            raise InputError(f"{labels.size} labels for {n} feature rows")
-        if labels.min() < 0 or labels.max() >= spec.num_classes:
-            raise InputError("label out of range")
-    if teacher_probs is not None and np.shape(teacher_probs) != (n, spec.num_classes):
-        raise InputError(
-            f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs)}"
-        )
-    return x
-
-
 # Divergence is returned per model; numpy's warnings would print once per worker.
 @np.errstate(over="ignore", invalid="ignore")
-def fit_many(
-    spec: ModelSpec,
-    xs: list,
-    ys: list | None,
-    cfgs: list[TrainConfig],
-    *,
-    teacher_probs: list | None = None,
-    gamma: float = 0.0,
-    inits: list | None = None,
-) -> list:
+def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig], *,
+             teacher_probs: list | None = None, gamma: float = 0.0, inits: list | None = None) -> list:
     """Train k same-spec models in lock step, one per entry of xs, ys (None for
     KL alone), cfgs and, when given, teacher_probs and inits. Every model has the
     same number of rows, and the configs differ at most in their seeds. The loss
@@ -360,31 +359,33 @@ def fit_many(
         raise InputError("labels are required unless gamma=1 with teacher targets")
     if k == 0:
         return []
-    labels = None if ys is None else [np.asarray(y, dtype=np.int64) for y in ys]
-    xs = [_check_model_data(spec, xs[j], None if labels is None else labels[j],
-                            None if teacher_probs is None else teacher_probs[j]) for j in range(k)]
+    xs = [_check_features(spec, x)[0] for x in xs]
     n = len(xs[0])
-    if any(len(x) != n for x in xs):
-        raise InputError(f"a stack trains on one row count, got {sorted({len(x) for x in xs})}")
+    if n == 0:
+        raise InputError("training data must be non-empty")
+    labels = None if ys is None else [np.asarray(y, dtype=np.int64) for y in ys]
+    for j, x in enumerate(xs):
+        if len(x) != n:
+            raise InputError(f"a stack trains on one row count, got {sorted({len(x) for x in xs})}")
+        if labels is not None and labels[j].shape != (n,):
+            raise InputError(f"{labels[j].size} labels for {n} feature rows")
+        if labels is not None and (labels[j].min() < 0 or labels[j].max() >= spec.num_classes):
+            raise InputError("label out of range")
+        if teacher_probs is not None and np.shape(teacher_probs[j]) != (n, spec.num_classes):
+            raise InputError(f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs[j])}")
     cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
         raise InputError("the training configs of a stack may differ only in their seeds")
     batch_size = min(cfg.batch_size, n)
     steps = -(-n // batch_size)
 
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    theta = np.empty(k * spec.num_params)
-    layers = _stack_layers(spec, theta, k)
+    theta, grad, step, velocity = (np.zeros(k * spec.num_params) for _ in range(4))
+    layers, glayers = _stack_layers(spec, theta, k), _stack_layers(spec, grad, k)
     for j, rng in enumerate(rngs):
-        start = Model(spec, init_theta(spec, rng) if inits is None else inits[j]).theta
+        start = init_theta(spec, rng) if inits is None else Model(spec, inits[j]).theta
         for (w, b), (wj, bj) in zip(layers, unpack(spec, start)):
             w[j], b[j] = wj, bj
-    grad, step = np.empty_like(theta), np.empty_like(theta)
-    glayers = _stack_layers(spec, grad, k)
-    velocity = np.zeros_like(theta)
-    losses = []  # each step's k losses
-    failed: dict[int, TrainingDivergedError] = {}
-
     # row r of model j at r * k + j, so one take() gathers a batch for all k
     x = np.stack(xs, axis=1).reshape(n * k, -1)
     y = np.stack(labels, axis=1).ravel() if gamma < 1.0 else None
@@ -394,6 +395,7 @@ def fit_many(
         teacher = tuple(a.reshape(n * k, -1) for a in _teacher_terms(t))
     perms, cols = np.empty((n, k), dtype=np.intp), np.arange(k)
     bufs = {rows: _Batch(spec.layer_dims, rows, k) for rows in {batch_size, n % batch_size} if rows}
+    losses, failed = [], {}  # each step's k losses; model index -> its TrainingDivergedError
 
     for _ in range(cfg.epochs):
         for j, rng in enumerate(rngs):
@@ -425,22 +427,15 @@ def fit_many(
     outcomes = []
     for j in range(k):
         theta_j = np.concatenate([a[j].ravel() for layer in layers for a in layer])
-        if j not in failed and not np.all(np.isfinite(theta_j)):
+        if j not in failed and not np.isfinite(theta_j).all():
             failed[j] = TrainingDivergedError("parameters became non-finite")
         outcomes.append(failed[j] if j in failed else (Model(spec, theta_j), history[j].tolist()))
     return outcomes
 
 
-def fit(
-    spec: ModelSpec,
-    features: np.ndarray,
-    labels: np.ndarray | None,
-    cfg: TrainConfig,
-    *,
-    teacher_probs: np.ndarray | None = None,
-    gamma: float = 0.0,
-    init: np.ndarray | None = None,
-) -> tuple[Model, list[float]]:
+def fit(spec: ModelSpec, features: np.ndarray, labels: np.ndarray | None, cfg: TrainConfig, *,
+        teacher_probs: np.ndarray | None = None, gamma: float = 0.0,
+        init: np.ndarray | None = None) -> tuple[Model, list[float]]:
     """Shared SGD loop behind train() and the stealing attacks: fit_many's
     one-model stack, raising its TrainingDivergedError.
 
@@ -451,9 +446,9 @@ def fit(
     degenerate cases are bitwise identical to plain training / distillation.
     Weight decay is decoupled (theta *= 1 - wd before the step).
     """
-    (outcome,) = fit_many(spec, [features], None if labels is None else [labels], [cfg],
-                          teacher_probs=None if teacher_probs is None else [teacher_probs],
-                          gamma=gamma, inits=None if init is None else [init])
+    one = lambda v: None if v is None else [v]  # noqa: E731
+    (outcome,) = fit_many(spec, [features], one(labels), [cfg], teacher_probs=one(teacher_probs),
+                          gamma=gamma, inits=one(init))
     if isinstance(outcome, TrainingDivergedError):
         raise outcome
     return outcome
