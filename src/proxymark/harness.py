@@ -124,7 +124,7 @@ def train_independent(
     if size == 0:
         raise InputError("subset_fraction produces an empty training set")
     subsets = [data if subset_fraction == 1.0 else
-               data.subset(np.sort(np.random.default_rng([seed, 99]).choice(data.n, size=size, replace=False)))
+               data.subset(np.sort(np.random.default_rng([seed, 99]).choice(data.n, size, replace=False)))
                for seed in seeds]
     outcomes = fit_many(spec, [d.features for d in subsets], [d.labels for d in subsets],
                         [replace(train_cfg, seed=seed) for seed in seeds])

@@ -372,7 +372,9 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
         if labels is not None and (labels[j].min() < 0 or labels[j].max() >= spec.num_classes):
             raise InputError("label out of range")
         if teacher_probs is not None and np.shape(teacher_probs[j]) != (n, spec.num_classes):
-            raise InputError(f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs[j])}")
+            raise InputError(
+                f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs[j])}"
+            )
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
         raise InputError("the training configs of a stack may differ only in their seeds")
