@@ -46,12 +46,12 @@ def _run_fit(spec, data: Dataset, trains: list[TrainConfig], labels, teacher=Non
     """One surrogate per training config, trained as one stack on the same data;
     the first that diverges fails the attack."""
     k = len(trains)
-    outcomes = fit_many(spec, [data.features] * k, None if labels is None else [labels] * k, trains,
-                        teacher_probs=None if teacher is None else [teacher] * k, gamma=gamma,
-                        inits=None if init is None else [init] * k)
-    for outcome in outcomes:
-        if isinstance(outcome, TrainingDivergedError):
-            raise AttackFailedError(str(outcome)) from outcome
+    try:
+        outcomes = fit_many(spec, [data.features] * k, None if labels is None else [labels] * k, trains,
+                            teacher_probs=None if teacher is None else [teacher] * k, gamma=gamma,
+                            inits=None if init is None else [init] * k)
+    except TrainingDivergedError as exc:
+        raise AttackFailedError(str(exc)) from exc
     return [AttackResult(surrogate, accuracy(data, surrogate), history) for surrogate, history in outcomes]
 
 

@@ -60,9 +60,11 @@ def __getattr__(name: str):
 
 def _load(args) -> tuple[ExperimentConfig, Path]:
     """The command's config with its --seed/--out overrides, and its output
-    directory (created)."""
+    directory, created once the config is known to be usable."""
     _bind_run_side()
     cfg = load_config(args.config) if args.config else ExperimentConfig()
+    if args.command == "attack" and (not cfg.attacks or cfg.repeats == 0):
+        raise ConfigError("no attacks configured (attacks is empty or repeats is 0)")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -97,8 +99,6 @@ def cmd_watermark(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg, outdir = _load(args)
-    if not cfg.attacks or cfg.repeats == 0:
-        raise ConfigError("no attacks configured (attacks is empty or repeats is 0)")
     for _, _, path, result in run_attacks(cfg, setup(cfg), outdir):
         print(f"{path.stem}: clean accuracy {result.clean_accuracy:.4f}")
     return EXIT_OK

@@ -329,7 +329,7 @@ def gradients(model: Model, features, targets, loss: str = "ce") -> np.ndarray:
     return grad
 
 
-# Divergence is returned per model; numpy's warnings would print once per worker.
+# Divergence raises TrainingDivergedError; numpy's warnings would print once per worker.
 @np.errstate(over="ignore", invalid="ignore")
 def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig], *,
              teacher_probs: list | None = None, gamma: float = 0.0, inits: list | None = None) -> list:
@@ -345,8 +345,10 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
     its initial weights and batch order from its own generator, so it comes out
     bit for bit as fit trains it alone.
 
-    Returns, per model, (Model, loss history) or the TrainingDivergedError that
-    fit raises for it; a model that diverges leaves the others unchanged.
+    Returns, per model, (Model, loss history). At the first step where any
+    model's loss is not finite it raises the TrainingDivergedError that fit
+    raises for the lowest-index such model, and after the last step it raises
+    one if any parameter is not finite.
     """
     k = len(xs)
     if any(v is not None and len(v) != k for v in (ys, cfgs, teacher_probs, inits)):
@@ -397,7 +399,7 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
         teacher = tuple(a.reshape(n * k, -1) for a in _teacher_terms(t))
     perms, cols = np.empty((n, k), dtype=np.intp), np.arange(k)
     bufs = {rows: _Batch(spec.layer_dims, rows, k) for rows in {batch_size, n % batch_size} if rows}
-    losses, failed = [], {}  # each step's k losses; model index -> its TrainingDivergedError
+    losses = []  # each step's k losses
 
     for _ in range(cfg.epochs):
         for j, rng in enumerate(rngs):
@@ -413,11 +415,8 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
             tb = None if teacher is None else tuple(a.take(idx, axis=0) for a in teacher)
             loss = _step(layers, glayers, spec.activation, buf, yb, tb, gamma)
             if not all(map(math.isfinite, loss.tolist())):
-                for j, value in enumerate(loss.tolist()):
-                    if not math.isfinite(value):
-                        failed.setdefault(j, TrainingDivergedError(f"loss became {value}"))
-                if len(failed) == k:
-                    return [failed[j] for j in range(k)]
+                value = next(v for v in loss.tolist() if not math.isfinite(v))
+                raise TrainingDivergedError(f"loss became {value}")
             if cfg.weight_decay:
                 theta *= 1.0 - cfg.weight_decay
             velocity *= cfg.momentum
@@ -426,20 +425,16 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
             losses.append(loss)
     # each model's epoch means as np.mean takes them over its own batch losses
     history = np.ascontiguousarray(np.reshape(losses, (cfg.epochs, steps, k)).transpose(2, 0, 1)).mean(axis=2)
-    outcomes = []
-    for j in range(k):
-        theta_j = np.concatenate([a[j].ravel() for layer in layers for a in layer])
-        if j not in failed and not np.isfinite(theta_j).all():
-            failed[j] = TrainingDivergedError("parameters became non-finite")
-        outcomes.append(failed[j] if j in failed else (Model(spec, theta_j), history[j].tolist()))
-    return outcomes
+    if not np.isfinite(theta).all():
+        raise TrainingDivergedError("parameters became non-finite")
+    return [(Model(spec, np.concatenate([a[j].ravel() for layer in layers for a in layer])),
+             history[j].tolist()) for j in range(k)]
 
 
 def fit(spec: ModelSpec, features: np.ndarray, labels: np.ndarray | None, cfg: TrainConfig, *,
         teacher_probs: np.ndarray | None = None, gamma: float = 0.0,
         init: np.ndarray | None = None) -> tuple[Model, list[float]]:
-    """Shared SGD loop behind train() and the stealing attacks: fit_many's
-    one-model stack, raising its TrainingDivergedError.
+    """One model's SGD loop, behind train(): fit_many's one-model stack.
 
     With teacher_probs=None the loss is plain cross-entropy on labels.
     Otherwise the per-batch loss is
@@ -449,11 +444,8 @@ def fit(spec: ModelSpec, features: np.ndarray, labels: np.ndarray | None, cfg: T
     Weight decay is decoupled (theta *= 1 - wd before the step).
     """
     one = lambda v: None if v is None else [v]  # noqa: E731
-    (outcome,) = fit_many(spec, [features], one(labels), [cfg], teacher_probs=one(teacher_probs),
-                          gamma=gamma, inits=one(init))
-    if isinstance(outcome, TrainingDivergedError):
-        raise outcome
-    return outcome
+    return fit_many(spec, [features], one(labels), [cfg], teacher_probs=one(teacher_probs), gamma=gamma,
+                    inits=one(init))[0]
 
 
 def train(spec: ModelSpec, data, cfg: TrainConfig) -> Model:

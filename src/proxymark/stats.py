@@ -12,8 +12,6 @@ from .errors import DegenerateRuleError, InputError
 from .nn import Model, predict
 
 _BISECT_TOL = 1e-10
-_CF_MAX_ITER = 300
-_CF_EPS = 3e-16
 
 
 @dataclass(frozen=True)
@@ -70,76 +68,14 @@ class VerificationReport:
     )
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise InputError("beta parameters must be positive")
-    if not (0.0 <= x <= 1.0):
-        raise InputError("x must be in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def beta_quantile(q: float, a: float, b: float) -> float:
-    """q-quantile of Beta(a, b) by bisection on I_x(a, b); abs tol 1e-10."""
-    if not (0.0 <= q <= 1.0):
-        raise InputError("quantile level must be in [0, 1]")
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if regularized_incomplete_beta(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+def _binomial_tail(t: int, m: int, p: float) -> float:
+    """P(Bin(m, p) >= t) for 0 < p < 1, which equals I_p(t, m - t + 1). Each
+    term is taken in logs, so no binomial coefficient overflows at large m."""
+    log_p, log_q, log_m = math.log(p), math.log1p(-p), math.lgamma(m + 1)
+    return math.fsum(
+        math.exp(log_m - math.lgamma(i + 1) - math.lgamma(m - i + 1) + i * log_p + (m - i) * log_q)
+        for i in range(t, m + 1)
+    )
 
 
 def check_alpha(alpha: float) -> None:
@@ -148,7 +84,8 @@ def check_alpha(alpha: float) -> None:
 
 
 def clopper_pearson_lower(t: int, m: int, alpha: float) -> float:
-    """One-sided lower confidence bound: the alpha/2 quantile of Beta(t, m-t+1).
+    """One-sided lower confidence bound: the alpha/2 quantile of Beta(t, m-t+1),
+    the p at which P(Bin(m, p) >= t) = alpha/2, by bisection to abs tol 1e-10.
     At t = 0 and t = m it has a closed form: 0 and (alpha/2)^(1/m)."""
     if m < 1:
         raise InputError("m must be >= 1")
@@ -159,7 +96,16 @@ def clopper_pearson_lower(t: int, m: int, alpha: float) -> float:
         return 0.0
     if t == m:
         return (alpha / 2.0) ** (1.0 / m)
-    return beta_quantile(alpha / 2.0, float(t), float(m - t + 1))
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _binomial_tail(t, m, mid) < alpha / 2.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < _BISECT_TOL:
+            break
+    return 0.5 * (lo + hi)
 
 
 def lemma_bound(n: int, alpha: float) -> float:

@@ -116,12 +116,13 @@ class TestExitCodes:
         ids=["no-repeats", "no-attacks"],
     )
     def test_attack_with_nothing_to_run_is_2(self, config_file, capsys, old, new):
-        path, _ = config_file
+        path, out = config_file
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new))
         assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
         assert "no attacks configured" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory is made
 
     def test_experiment_error_is_3(self, config_file, capsys):
         path, _ = config_file

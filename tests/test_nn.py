@@ -531,7 +531,7 @@ class TestFitMany:
         starts = [init_theta(spec, np.random.default_rng(2 + j)) for j in range(k)]
         self._same_as_alone(spec, xs, ys, plain, inits=starts)
 
-    def test_a_diverging_member_fails_alone(self):
+    def test_a_diverging_member_fails_the_stack(self):
         spec = pm.ModelSpec(3, (8, 8), 4)
         data = [TestFitEquivalence._data(4, j) for j in range(3)]
         xs, ys = [d[0] for d in data], [d[1] for d in data]
@@ -539,13 +539,12 @@ class TestFitMany:
         cfgs = [pm.TrainConfig(epochs=10, learning_rate=0.1, seed=j + 1) for j in range(3)]
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as alone:
             _ref_fit(spec, xs[1], ys[1], cfgs[1])
-        got = fit_many(spec, xs, ys, cfgs)
-        assert isinstance(got[1], TrainingDivergedError) and str(got[1]) == str(alone.value)
-        with pytest.raises(TrainingDivergedError, match=str(alone.value)):
+        with pytest.raises(TrainingDivergedError) as stacked:
+            fit_many(spec, xs, ys, cfgs)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(TrainingDivergedError) as solo:
             fit(spec, xs[1], ys[1], cfgs[1])
-        for j in (0, 2):
-            want, history = _ref_fit(spec, xs[j], ys[j], cfgs[j])
-            assert got[j][0].theta.tobytes() == want.theta.tobytes() and got[j][1] == history
+        assert str(solo.value) == str(alone.value)
 
     def test_a_stack_shares_its_row_count_and_all_but_the_seeds(self):
         spec = pm.ModelSpec(3, (8,), 4)
