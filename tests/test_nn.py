@@ -546,6 +546,19 @@ class TestFitMany:
             fit(spec, xs[1], ys[1], cfgs[1])
         assert str(solo.value) == str(alone.value)
 
+    def test_a_member_with_non_finite_parameters_fails_the_stack(self):
+        # one full batch: the loss is finite, but the step overflows member 1's weights
+        spec = pm.ModelSpec(3, (8, 8), 4)
+        data = [TestFitEquivalence._data(4, j) for j in range(2)]
+        xs, ys = [d[0] for d in data], [d[1] for d in data]
+        xs[1] = 1e10 * xs[1]
+        cfgs = [pm.TrainConfig(epochs=1, learning_rate=1e300, batch_size=TestFitEquivalence.N, seed=j + 1)
+                for j in range(2)]
+        fit(spec, xs[0], ys[0], cfgs[0])
+        for call in (lambda: fit(spec, xs[1], ys[1], cfgs[1]), lambda: fit_many(spec, xs, ys, cfgs)):
+            with pytest.raises(TrainingDivergedError, match="parameters became non-finite"):
+                call()
+
     def test_a_stack_shares_its_row_count_and_all_but_the_seeds(self):
         spec = pm.ModelSpec(3, (8,), 4)
         x, labels, _ = TestFitEquivalence._data(4, 0)

@@ -22,13 +22,13 @@ class TestClopperPearson:
                 ref = 0.0 if t == 0 else scipy.stats.beta.ppf(0.025, t, m - t + 1)
                 assert ours == pytest.approx(ref, abs=1e-8), (t, m)
 
-    def test_matches_scipy_beta_ppf_at_large_m(self):
+    @pytest.mark.parametrize("m", [64, 200, 1000, 2000])
+    def test_matches_scipy_beta_ppf_at_large_m(self, m):
         # the binomial tail's terms are taken in logs: C(2000, 1000) is about 2e600,
         # past the float range, so a plain float sum of its terms fails at m = 2000
-        for m in (64, 200, 1000, 2000):
-            for t in (1, m // 2, m - 1):
-                ref = scipy.stats.beta.ppf(0.025, t, m - t + 1)
-                assert pm.clopper_pearson_lower(t, m, 0.05) == pytest.approx(ref, abs=1e-8), (t, m)
+        for t in (1, m // 2, m - 1):
+            ref = scipy.stats.beta.ppf(0.025, t, m - t + 1)
+            assert pm.clopper_pearson_lower(t, m, 0.05) == pytest.approx(ref, abs=1e-8), (t, m)
 
     def test_closed_form_at_t_equals_m(self):
         # at t = m the bound reduces to (alpha/2) ** (1/m)
