@@ -41,38 +41,38 @@ class AttackResult:
     loss_history: list[float]
 
 
-def _run_fit(spec, data: Dataset, trains: list[TrainConfig], labels, teacher=None, gamma=0.0,
+def _run_fit(spec, data: Dataset, train: TrainConfig, seeds: list[int], labels, teacher=None, gamma=0.0,
              init=None) -> list[AttackResult]:
-    """One surrogate per training config, trained as one stack on the same data;
-    the first that diverges fails the attack."""
-    k = len(trains)
+    """One surrogate per seed, trained under `train` as one stack on the same
+    data; the first that diverges fails the attack."""
     try:
-        outcomes = fit_many(spec, [data.features] * k, None if labels is None else [labels] * k, trains,
-                            teacher_probs=None if teacher is None else [teacher] * k, gamma=gamma,
-                            inits=None if init is None else [init] * k)
+        outcomes = fit_many(spec, data.features, labels, train, seeds, teacher_probs=teacher, gamma=gamma,
+                            init=init)
     except TrainingDivergedError as exc:
         raise AttackFailedError(str(exc)) from exc
     return [AttackResult(surrogate, accuracy(data, surrogate), history) for surrogate, history in outcomes]
 
 
-def steal_soft(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
+def steal_soft(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig,
+               seeds: list[int]) -> list[AttackResult]:
     """Distill against the source's probability vectors (teacher frozen)."""
-    return _run_fit(spec, data, trains, None, forward(f, data.features), 1.0)
+    return _run_fit(spec, data, train, seeds, None, forward(f, data.features), 1.0)
 
 
-def steal_hard(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
+def steal_hard(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig,
+               seeds: list[int]) -> list[AttackResult]:
     """Train on the dataset relabeled with the source's argmax predictions."""
-    return _run_fit(spec, data, trains, predict(f, data.features))
+    return _run_fit(spec, data, train, seeds, predict(f, data.features))
 
 
-def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, trains: list[TrainConfig],
+def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int],
               gamma: float) -> list[AttackResult]:
     """Distillation mixed with ground-truth cross-entropy, weighted by gamma.
 
     gamma=0 reduces bitwise to plain training and gamma=1 to the soft-label
     attack, because all three share the same fit_many() code path.
     """
-    return _run_fit(spec, data, trains, data.labels, forward(f, data.features), gamma)
+    return _run_fit(spec, data, train, seeds, data.labels, forward(f, data.features), gamma)
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
@@ -106,26 +106,26 @@ def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list[Attac
     return [AttackResult(surrogate, accuracy(data, surrogate), [])] * repeats
 
 
-def finetune(f: Model, data: Dataset, trains: list[TrainConfig]) -> list[AttackResult]:
+def finetune(f: Model, data: Dataset, train: TrainConfig, seeds: list[int]) -> list[AttackResult]:
     """Continue cross-entropy training of copies of the source."""
-    return _run_fit(f.spec, data, trains, data.labels, init=f.theta)
+    return _run_fit(f.spec, data, train, seeds, data.labels, init=f.theta)
 
 
-def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, trains: list[TrainConfig],
+def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int],
                gamma: float | None = None, prune_ratio: float | None = None) -> list[AttackResult]:
-    """Run attack `kind` once per training config, as one stack, and return
+    """Run attack `kind` under `train` once per seed, as one stack, and return
     one result per run. The names resolve at each call, so a wrapper set on
     this module sees it."""
     check_params(kind, gamma, prune_ratio)
     match kind:
         case "soft_label":
-            return steal_soft(f, spec, data, trains)
+            return steal_soft(f, spec, data, train, seeds)
         case "hard_label":
-            return steal_hard(f, spec, data, trains)
+            return steal_hard(f, spec, data, train, seeds)
         case "rgt":
-            return steal_rgt(f, spec, data, trains, gamma)
+            return steal_rgt(f, spec, data, train, seeds, gamma)
         case "prune":
-            return prune(f, data, prune_ratio, len(trains))
+            return prune(f, data, prune_ratio, len(seeds))
         case "finetune":
-            return finetune(f, data, trains)
+            return finetune(f, data, train, seeds)
     raise InputError(f"unknown attack kind {kind!r}")

@@ -10,6 +10,7 @@ import argparse
 import functools
 import importlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ProxymarkError
@@ -66,7 +67,7 @@ def _load(args) -> tuple[ExperimentConfig, Path]:
     if args.command == "attack" and (not cfg.attacks or cfg.repeats == 0):
         raise ConfigError("no attacks configured (attacks is empty or repeats is 0)")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # with the config's own checks
     if args.out is not None:
         cfg.output_dir = args.out
     outdir = Path(cfg.output_dir)

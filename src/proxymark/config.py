@@ -168,6 +168,8 @@ class ExperimentConfig:
     repeats: int = 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 0:
             raise ConfigError("repeats must be >= 0")
         keep = {None, self.source.hidden_layers, self.source.activation}  # no override, or an equal one

@@ -14,10 +14,10 @@ numpy.random.SeedSequence([base_seed, *tags]); the tag layout is fixed:
     (11,)           hold-out split (setup)
 This derivation is documented here and must stay stable across versions.
 
-Models that train together form one stack (nn.fit_many): the independents,
-and the `repeats` runs of each attack block. After the source, run_experiment
-hands _fan_out one call per stack (the trigger set, the independents, then
-each attack block), and run_attacks one call per attack block.
+Models that train together form one stack (nn.fit_many) on one dataset, under
+one training config, one seed each: the independents, each on its own rows,
+and each attack block's `repeats` runs. After the source, run_experiment hands
+_fan_out the trigger set and one call per stack, and run_attacks one per block.
 """
 
 from __future__ import annotations
@@ -125,12 +125,9 @@ def train_independent(
     size = int(subset_fraction * data.n)
     if size == 0:
         raise InputError("subset_fraction produces an empty training set")
-    subsets = [data if subset_fraction == 1.0 else
-               data.subset(np.sort(np.random.default_rng([seed, 99]).choice(data.n, size, replace=False)))
-               for seed in seeds]
-    outcomes = fit_many(spec, [d.features for d in subsets], [d.labels for d in subsets],
-                        [replace(train_cfg, seed=seed) for seed in seeds])
-    return [model for model, _ in outcomes]
+    rows = None if subset_fraction == 1.0 else [
+        np.sort(np.random.default_rng([seed, 99]).choice(data.n, size, replace=False)) for seed in seeds]
+    return [model for model, _ in fit_many(spec, data.features, data.labels, train_cfg, seeds, rows=rows)]
 
 
 def make_ball(cfg: ExperimentConfig, source: Model, reference: Dataset) -> ProxyBall:
@@ -286,8 +283,8 @@ def _run_attack(s: Setup, block: AttackBlock, seeds: list[int]) -> list[atk.Atta
     given = _given(block)
     spec, train = (replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
                    for base in (s.spec, s.train_cfg))
-    trains = [replace(train, seed=seed) for seed in seeds]
-    return atk.run_attack(s.source, block.kind, spec, s.train_data, trains, block.gamma, block.prune_ratio)
+    return atk.run_attack(s.source, block.kind, spec, s.train_data, train, seeds, block.gamma,
+                          block.prune_ratio)
 
 
 def _save_surrogates(runs: list, results, ckpt_dir: Path):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,6 +296,21 @@ def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float)
     return loss
 
 
+def _check_targets(spec: ModelSpec, n: int, labels, teacher_probs):
+    """labels (n class indices) and teacher_probs (n probability rows), each checked when given."""
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise InputError(f"{labels.size} labels for {n} feature rows")
+        if labels.min() < 0 or labels.max() >= spec.num_classes:
+            raise InputError("label out of range")
+    if teacher_probs is not None:
+        teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
+        if teacher_probs.shape != (n, spec.num_classes):
+            raise InputError(f"teacher_probs must be ({n}, {spec.num_classes}), got {teacher_probs.shape}")
+    return labels, teacher_probs
+
+
 def gradients(model: Model, features, targets, loss: str = "ce") -> np.ndarray:
     """Analytic gradient of the mean batch loss wrt the flat parameters.
 
@@ -306,37 +321,27 @@ def gradients(model: Model, features, targets, loss: str = "ce") -> np.ndarray:
     x, _ = _check_features(spec, features)
     if x.shape[0] == 0:
         raise InputError("batch must be non-empty")
-    labels = teacher = None
-    if loss == "ce":
-        labels = np.asarray(targets, dtype=np.int64)
-        if labels.shape != (x.shape[0],):
-            raise InputError("labels must be one integer per batch row")
-        if labels.min() < 0 or labels.max() >= spec.num_classes:
-            raise InputError("label out of range")
-        labels = labels[:, None]
-    elif loss == "kl_to_targets":
-        t = np.asarray(targets, dtype=np.float64)
-        if t.shape != (x.shape[0], spec.num_classes):
-            raise InputError("targets must match the batch probability shape")
-        teacher = _teacher_terms(t[:, None])
-    else:
+    if loss not in ("ce", "kl_to_targets"):
         raise InputError(f"unknown loss {loss!r}")
+    ce = loss == "ce"
+    labels, t = _check_targets(spec, len(x), targets if ce else None, None if ce else targets)
+    teacher = None if ce else _teacher_terms(t[:, None])
     grad = np.empty_like(model.theta)
     buf = _Batch(spec.layer_dims, len(x), 1)
     buf.post[0][:, 0] = x
     _step(_stack_layers(spec, model.theta, 1), _stack_layers(spec, grad, 1), spec.activation, buf,
-          labels, teacher, 1.0)
+          labels[:, None] if ce else None, teacher, 1.0)
     return grad
 
 
 # Divergence raises TrainingDivergedError; numpy's warnings would print once per worker.
 @np.errstate(over="ignore", invalid="ignore")
-def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig], *,
-             teacher_probs: list | None = None, gamma: float = 0.0, inits: list | None = None) -> list:
-    """Train k same-spec models in lock step, one per entry of xs, ys (None for
-    KL alone), cfgs and, when given, teacher_probs and inits. Every model has the
-    same number of rows, and the configs differ at most in their seeds. The loss
-    is fit's.
+def fit_many(spec: ModelSpec, features, labels, cfg: TrainConfig, seeds: list[int], *,
+             rows=None, teacher_probs=None, gamma: float = 0.0, init=None) -> list:
+    """Train one model per seed in lock step, each under cfg with its own seed
+    in place of cfg.seed: model j on rows[j] of the shared features, labels
+    (None for KL alone) and teacher_probs, or on all rows when rows is None,
+    from init when it is given. The loss is fit's.
 
     Activations and deltas are rows-major, (rows, k, width); parameters, their
     gradient and velocity form one layer-major vector (_stack_layers). So each
@@ -350,68 +355,52 @@ def fit_many(spec: ModelSpec, xs: list, ys: list | None, cfgs: list[TrainConfig]
     raises for the lowest-index such model, and after the last step it raises
     one if any parameter is not finite.
     """
-    k = len(xs)
-    if any(v is not None and len(v) != k for v in (ys, cfgs, teacher_probs, inits)):
-        raise InputError(f"{k} feature arrays, but not one label array, config, teacher and start each")
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must be in [0, 1], got {gamma}")
     if gamma and teacher_probs is None:
         raise InputError("gamma > 0 needs teacher_probs")
-    if gamma < 1.0 and ys is None:
+    if gamma < 1.0 and labels is None:
         raise InputError("labels are required unless gamma=1 with teacher targets")
+    k = len(seeds)
     if k == 0:
         return []
-    xs = [_check_features(spec, x)[0] for x in xs]
-    n = len(xs[0])
+    x = _check_features(spec, features)[0]
+    if rows is not None:
+        if len(rows) != k or len({len(r) for r in rows}) != 1:
+            raise InputError(f"rows must be {k} row lists of one length, one per seed")
+        rows = np.array(rows, dtype=np.intp)
+    n = len(x) if rows is None else rows.shape[1]
     if n == 0:
         raise InputError("training data must be non-empty")
-    labels = None if ys is None else [np.asarray(y, dtype=np.int64) for y in ys]
-    for j, x in enumerate(xs):
-        if len(x) != n:
-            raise InputError(f"a stack trains on one row count, got {sorted({len(x) for x in xs})}")
-        if labels is not None and labels[j].shape != (n,):
-            raise InputError(f"{labels[j].size} labels for {n} feature rows")
-        if labels is not None and (labels[j].min() < 0 or labels[j].max() >= spec.num_classes):
-            raise InputError("label out of range")
-        if teacher_probs is not None and np.shape(teacher_probs[j]) != (n, spec.num_classes):
-            raise InputError(
-                f"teacher_probs must be ({n}, {spec.num_classes}), got {np.shape(teacher_probs[j])}"
-            )
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
-        raise InputError("the training configs of a stack may differ only in their seeds")
+    if rows is not None and (rows.min() < 0 or rows.max() >= len(x)):
+        raise InputError(f"a row index is outside the {len(x)} feature rows")
+    labels, teacher_probs = _check_targets(spec, len(x), labels, teacher_probs)
     batch_size = min(cfg.batch_size, n)
     steps = -(-n // batch_size)
 
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     theta, grad, step, velocity = (np.zeros(k * spec.num_params) for _ in range(4))
     layers, glayers = _stack_layers(spec, theta, k), _stack_layers(spec, grad, k)
+    start = None if init is None else unpack(spec, Model(spec, init).theta)
     for j, rng in enumerate(rngs):
-        start = init_theta(spec, rng) if inits is None else Model(spec, inits[j]).theta
-        for (w, b), (wj, bj) in zip(layers, unpack(spec, start)):
+        for (w, b), (wj, bj) in zip(layers, start or unpack(spec, init_theta(spec, rng))):
             w[j], b[j] = wj, bj
-    # row r of model j at r * k + j, so one take() gathers a batch for all k
-    x = np.stack(xs, axis=1).reshape(n * k, -1)
-    y = np.stack(labels, axis=1).ravel() if gamma < 1.0 else None
-    teacher = None
-    if gamma > 0.0:
-        t = np.stack([np.asarray(p, dtype=np.float64) for p in teacher_probs], axis=1)
-        teacher = tuple(a.reshape(n * k, -1) for a in _teacher_terms(t))
-    perms, cols = np.empty((n, k), dtype=np.intp), np.arange(k)
-    bufs = {rows: _Batch(spec.layer_dims, rows, k) for rows in {batch_size, n % batch_size} if rows}
+    teacher = _teacher_terms(teacher_probs) if gamma > 0.0 else None
+    perms = np.empty((n, k), dtype=np.intp)
+    bufs = {size: _Batch(spec.layer_dims, size, k) for size in {batch_size, n % batch_size} if size}
     losses = []  # each step's k losses
 
     for _ in range(cfg.epochs):
         for j, rng in enumerate(rngs):
             perms[:, j] = rng.permutation(n)
-        rows = perms * k + cols if k > 1 else perms
-        for start in range(0, n, batch_size):
-            idx = rows[start : start + batch_size]
-            # take() gathers rows several times faster than fancy indexing; every
-            # index is in range, and a clipping take() writes its out= unbuffered
+        order = perms if rows is None else np.take_along_axis(rows.T, perms, axis=0)
+        for begin in range(0, n, batch_size):
+            idx = order[begin : begin + batch_size]
+            # take() gathers rows several times faster than fancy indexing; every index
+            # is in range (rows is checked), and a clipping take() writes its out= unbuffered
             buf = bufs[len(idx)]
             x.take(idx, axis=0, out=buf.post[0], mode="clip")
-            yb = None if y is None else y.take(idx)
+            yb = labels.take(idx) if gamma < 1.0 else None
             tb = None if teacher is None else tuple(a.take(idx, axis=0) for a in teacher)
             loss = _step(layers, glayers, spec.activation, buf, yb, tb, gamma)
             if not all(map(math.isfinite, loss.tolist())):
@@ -443,9 +432,8 @@ def fit(spec: ModelSpec, features: np.ndarray, labels: np.ndarray | None, cfg: T
     degenerate cases are bitwise identical to plain training / distillation.
     Weight decay is decoupled (theta *= 1 - wd before the step).
     """
-    one = lambda v: None if v is None else [v]  # noqa: E731
-    return fit_many(spec, [features], one(labels), [cfg], teacher_probs=one(teacher_probs), gamma=gamma,
-                    inits=one(init))[0]
+    return fit_many(spec, features, labels, cfg, [cfg.seed], teacher_probs=teacher_probs, gamma=gamma,
+                    init=init)[0]
 
 
 def train(spec: ModelSpec, data, cfg: TrainConfig) -> Model:
@@ -477,8 +465,11 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointFormatError(f"{path}: cannot read ({exc})") from exc
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic")
     (version,) = struct.unpack_from("<I", blob, 4)

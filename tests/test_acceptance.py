@@ -85,8 +85,8 @@ def separation_runs():
     for seed in SEEDS:
         _, s, trigger_set = _built(SEPARATION, seed)
         query = pm.make_blobs(K, dim, 300, 3.5, seed=derive_seed(seed, 77))
-        attack_train = replace(s.train_cfg, seed=derive_seed(seed, 2, 0, 0))
-        surrogate = atk.steal_soft(s.source, s.spec, query, [attack_train])[0].surrogate
+        (stolen,) = atk.steal_soft(s.source, s.spec, query, s.train_cfg, [derive_seed(seed, 2, 0, 0)])
+        surrogate = stolen.surrogate
 
         ind_per_class = max(s.train_data.n // (2 * K), 1)  # half-size fresh draws
         ind_accs = []
@@ -281,10 +281,10 @@ def test_criterion_08_degenerate_gamma_equivalence():
     source = pm.train(spec, train_data, pm.TrainConfig(epochs=40, seed=9))
     shared = pm.TrainConfig(epochs=40, seed=10)
 
-    (rgt0,) = atk.steal_rgt(source, spec, train_data, [shared], 0.0)
+    (rgt0,) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 0.0)
     plain = pm.train(spec, train_data, shared)
-    (rgt1,) = atk.steal_rgt(source, spec, train_data, [shared], 1.0)
-    (soft,) = atk.steal_soft(source, spec, train_data, [shared])
+    (rgt1,) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 1.0)
+    (soft,) = atk.steal_soft(source, spec, train_data, shared, [shared.seed])
     elapsed = time.monotonic() - start
     eq0 = np.array_equal(rgt0.surrogate.theta, plain.theta)
     eq1 = np.array_equal(rgt1.surrogate.theta, soft.surrogate.theta)
@@ -328,10 +328,9 @@ def test_criterion_10_finetune_retention(separation_runs):
     seeds_ok, details = 0, []
     for seed, run in zip(SEEDS, separation_runs):
         baseline = float(np.mean(run.independent_accs))
-        ft_train = replace(run.s.train_cfg, epochs=100, learning_rate=0.01,
-                           seed=derive_seed(seed, 2, 4, 0))
-        tuned = atk.finetune(run.s.source, run.s.train_data, [ft_train])[0].surrogate
-        retained = pm.trigger_accuracy(run.trigger_set, tuned)
+        ft_train = replace(run.s.train_cfg, epochs=100, learning_rate=0.01)
+        (tuned,) = atk.finetune(run.s.source, run.s.train_data, ft_train, [derive_seed(seed, 2, 4, 0)])
+        retained = pm.trigger_accuracy(run.trigger_set, tuned.surrogate)
         seeds_ok += retained > baseline
         details.append(f"s{seed}: {retained:.2f} vs {baseline:.2f}")
     ok = seeds_ok >= 4

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from proxymark import cli
@@ -77,6 +79,7 @@ class TestExitCodes:
         "old, new",
         [
             ("seed: 9", "seed: abc"),
+            ("seed: 9", "seed: -1"),
             ("epochs: 50", "epochs: many"),
             ("delta: 0.05", "delta: null"),
             ("hidden_layers: [16]", "hidden_layers: 16"),
@@ -109,6 +112,18 @@ class TestExitCodes:
         assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()  # rejected at load, before anything is written
+
+    def test_negative_seed_flag_is_2(self, config_file, capsys):
+        path, out = config_file
+        assert main(["run", "--config", str(path), "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the output directory is made
+
+    def test_unreadable_suspect_is_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        code = main(["verify", "--suspect", str(missing), "--trigger-set", str(tmp_path / "ts.json")])
+        assert code == EXIT_EXPERIMENT
+        assert capsys.readouterr().err.startswith(f"experiment error (verify): {missing}: cannot read (")
 
     @pytest.mark.parametrize(
         "old, new",
@@ -409,6 +424,21 @@ class TestBenchmarkHooks:
         after = _hooked(spans)
         assert all(after[key] is fn for key, fn in before.items())
         assert cli.COMMANDS == commands
+
+    def test_traced_fit_counts_its_steps(self):
+        # _count_fit binds fit's spec, features and cfg by name, so renaming
+        # one would break the traced run's step and flop counts
+        from proxymark import nn
+
+        tracer = _spans().Tracer()
+        n, cfg = 50, nn.TrainConfig(epochs=2, batch_size=16)
+        try:
+            tracer.install()
+            tracer.on = True
+            nn.fit(nn.ModelSpec(3, (4,), 3), np.eye(3)[np.arange(n) % 3], np.arange(n) % 3, cfg)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["nn.fit.steps"] == cfg.epochs * math.ceil(n / cfg.batch_size)
 
     def test_attack_wrappers_see_every_run(self, force_workers, tmp_path, capsys, monkeypatch):
         # the traced run wraps the five attack functions on proxymark.attacks;

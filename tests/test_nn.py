@@ -498,77 +498,99 @@ class TestFitEquivalence:
 
 
 class TestFitMany:
-    """fit_many trains each model of a stack, on data of its own, as the
-    reference loop trains it alone: the same theta bytes and loss history bits
-    on every loss path. The data and the reference are TestFitEquivalence's."""
+    """fit_many trains each model of a stack, on its own rows of shared data,
+    as the reference loop trains it alone: the same theta bytes and loss
+    history bits on every loss path. The data and the reference are
+    TestFitEquivalence's."""
 
     @staticmethod
-    def _same_as_alone(spec, xs, ys, cfgs, teachers=None, gamma=0.0, inits=None):
-        got = fit_many(spec, xs, ys, cfgs, teacher_probs=teachers, gamma=gamma, inits=inits)
-        assert len(got) == len(xs)
+    def _same_as_alone(spec, x, y, cfg, seeds, rows=None, teacher=None, gamma=0.0, init=None):
+        got = fit_many(spec, x, y, cfg, seeds, rows=rows, teacher_probs=teacher, gamma=gamma, init=init)
+        assert len(got) == len(seeds)
         for j, (model, history) in enumerate(got):
-            pick = lambda v: None if v is None else v[j]  # noqa: E731
-            want_model, want_hist = _ref_fit(spec, xs[j], pick(ys), cfgs[j], teacher_probs=pick(teachers),
-                                             gamma=gamma, init=pick(inits))
+            pick = lambda v: v if v is None or rows is None else v[rows[j]]  # noqa: E731
+            want_model, want_hist = _ref_fit(spec, pick(x), pick(y), replace(cfg, seed=seeds[j]),
+                                             teacher_probs=pick(teacher), gamma=gamma, init=init)
             assert model.theta.tobytes() == want_model.theta.tobytes()
             assert np.array(history).tobytes() == np.array(want_hist).tobytes()
+
+    @staticmethod
+    def _layouts(k):
+        """(features, labels, teachers, rows) of k datasets laid end to end:
+        member j on dataset j; every member on all rows (an attack block); and
+        each member on its own sorted random subset, overlapping the others'
+        (the independents)."""
+        data = [TestFitEquivalence._data(4, 20 + j) for j in range(k)]
+        x, y, teacher = (np.concatenate([d[i] for d in data]) for i in range(3))
+        n = TestFitEquivalence.N
+        subsets = [np.sort(np.random.default_rng([j, 99]).choice(len(x), n - 5, replace=False))
+                   for j in range(k)]
+        return [(x, y, teacher, [np.arange(j * n, (j + 1) * n) for j in range(k)]),
+                (x, y, teacher, None), (x, y, teacher, subsets)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("batch_size", [2048, 16])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_each_model_equals_its_solo_fit(self, activation, batch_size, k):
         spec = pm.ModelSpec(3, (32, 32), 4, activation)
-        data = [TestFitEquivalence._data(4, 20 + j) for j in range(k)]
-        xs, ys, teachers = ([d[i] for d in data] for i in range(3))
-        cfgs = [pm.TrainConfig(epochs=4, learning_rate=0.1, batch_size=batch_size, seed=j + 1)
-                for j in range(k)]
-        self._same_as_alone(spec, xs, ys, cfgs)
-        self._same_as_alone(spec, xs, None, cfgs, teachers, 1.0)
-        for gamma in (0.5, 0.3):
-            self._same_as_alone(spec, xs, ys, cfgs, teachers, gamma)
-        # finetune: given starting points, no momentum, no decay
-        plain = [replace(c, momentum=0.0, weight_decay=0.0) for c in cfgs]
-        starts = [init_theta(spec, np.random.default_rng(2 + j)) for j in range(k)]
-        self._same_as_alone(spec, xs, ys, plain, inits=starts)
+        cfg = pm.TrainConfig(epochs=4, learning_rate=0.1, batch_size=batch_size)
+        seeds = list(range(1, k + 1))
+        for x, y, teacher, rows in self._layouts(k):
+            self._same_as_alone(spec, x, y, cfg, seeds, rows)
+            self._same_as_alone(spec, x, None, cfg, seeds, rows, teacher, 1.0)
+            for gamma in (0.5, 0.3):
+                self._same_as_alone(spec, x, y, cfg, seeds, rows, teacher, gamma)
+            # finetune: one given starting point, no momentum, no decay
+            plain = replace(cfg, momentum=0.0, weight_decay=0.0)
+            start = init_theta(spec, np.random.default_rng(2))
+            self._same_as_alone(spec, x, y, plain, seeds, rows, init=start)
+
+    @staticmethod
+    def _blocks(count, scale):
+        """Features, labels and one row list per block of `count` datasets laid
+        end to end, block 1's features multiplied by `scale`."""
+        data = [TestFitEquivalence._data(4, j) for j in range(count)]
+        x, y = np.concatenate([d[0] for d in data]), np.concatenate([d[1] for d in data])
+        rows = [np.arange(j * len(d[0]), (j + 1) * len(d[0])) for j, d in enumerate(data)]
+        x[rows[1]] *= scale
+        return x, y, rows
 
     def test_a_diverging_member_fails_the_stack(self):
         spec = pm.ModelSpec(3, (8, 8), 4)
-        data = [TestFitEquivalence._data(4, j) for j in range(3)]
-        xs, ys = [d[0] for d in data], [d[1] for d in data]
-        xs[1] = 1e160 * xs[1]  # its products overflow within a few steps
-        cfgs = [pm.TrainConfig(epochs=10, learning_rate=0.1, seed=j + 1) for j in range(3)]
+        x, y, rows = self._blocks(3, 1e160)  # block 1's products overflow within a few steps
+        cfg = pm.TrainConfig(epochs=10, learning_rate=0.1, seed=2)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as alone:
-            _ref_fit(spec, xs[1], ys[1], cfgs[1])
+            _ref_fit(spec, x[rows[1]], y[rows[1]], cfg)
         with pytest.raises(TrainingDivergedError) as stacked:
-            fit_many(spec, xs, ys, cfgs)
+            fit_many(spec, x, y, cfg, [1, 2, 3], rows=rows)
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(TrainingDivergedError) as solo:
-            fit(spec, xs[1], ys[1], cfgs[1])
+            fit(spec, x[rows[1]], y[rows[1]], cfg)
         assert str(solo.value) == str(alone.value)
 
     def test_a_member_with_non_finite_parameters_fails_the_stack(self):
         # one full batch: the loss is finite, but the step overflows member 1's weights
         spec = pm.ModelSpec(3, (8, 8), 4)
-        data = [TestFitEquivalence._data(4, j) for j in range(2)]
-        xs, ys = [d[0] for d in data], [d[1] for d in data]
-        xs[1] = 1e10 * xs[1]
-        cfgs = [pm.TrainConfig(epochs=1, learning_rate=1e300, batch_size=TestFitEquivalence.N, seed=j + 1)
-                for j in range(2)]
-        fit(spec, xs[0], ys[0], cfgs[0])
-        for call in (lambda: fit(spec, xs[1], ys[1], cfgs[1]), lambda: fit_many(spec, xs, ys, cfgs)):
+        x, y, rows = self._blocks(2, 1e10)
+        cfg = pm.TrainConfig(epochs=1, learning_rate=1e300, batch_size=TestFitEquivalence.N)
+        fit(spec, x[rows[0]], y[rows[0]], replace(cfg, seed=1))
+        for call in (lambda: fit(spec, x[rows[1]], y[rows[1]], replace(cfg, seed=2)),
+                     lambda: fit_many(spec, x, y, cfg, [1, 2], rows=rows)):
             with pytest.raises(TrainingDivergedError, match="parameters became non-finite"):
                 call()
 
-    def test_a_stack_shares_its_row_count_and_all_but_the_seeds(self):
+    def test_rows_are_one_in_range_list_per_seed(self):
         spec = pm.ModelSpec(3, (8,), 4)
         x, labels, _ = TestFitEquivalence._data(4, 0)
         cfg = pm.TrainConfig(epochs=1)
-        with pytest.raises(InputError, match="row count"):
-            fit_many(spec, [x, x[:-1]], [labels, labels[:-1]], [cfg, cfg])
-        with pytest.raises(InputError, match="only in their seeds"):
-            fit_many(spec, [x, x], [labels, labels], [cfg, replace(cfg, learning_rate=0.5)])
-        assert len(fit_many(spec, [x, x], [labels, labels], [cfg, replace(cfg, seed=9)])) == 2
-        assert fit_many(spec, [], [], []) == []
+        every = np.arange(len(x))
+        for rows in ([every], [every] * 3, [every, every[:-1]]):
+            with pytest.raises(InputError, match="one per seed"):
+                fit_many(spec, x, labels, cfg, [1, 2], rows=rows)
+        for bad in (len(x), -1):
+            with pytest.raises(InputError, match="outside the 50 feature rows"):
+                fit_many(spec, x, labels, cfg, [1, 2], rows=[every, np.append(every[:-1], bad)])
+        assert fit_many(spec, x, labels, cfg, []) == []
 
 
 class TestNeuronActivity:
