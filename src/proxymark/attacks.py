@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import AttackFailedError, InputError, TrainingDivergedError
+from .errors import InputError
 from .nn import (Model, ModelSpec, TrainConfig, _activate, _check_features, accuracy, fit_many,
                  forward, predict, unpack)
 
@@ -45,11 +45,8 @@ def _run_fit(spec, data: Dataset, train: TrainConfig, seeds: list[int], labels, 
              init=None) -> list[AttackResult]:
     """One surrogate per seed, trained under `train` as one stack on the same
     data; the first that diverges fails the attack."""
-    try:
-        outcomes = fit_many(spec, data.features, labels, train, seeds, teacher_probs=teacher, gamma=gamma,
-                            init=init)
-    except TrainingDivergedError as exc:
-        raise AttackFailedError(str(exc)) from exc
+    outcomes = fit_many(spec, data.features, labels, train, seeds, teacher_probs=teacher, gamma=gamma,
+                        init=init)
     return [AttackResult(surrogate, accuracy(data, surrogate), history) for surrogate, history in outcomes]
 
 

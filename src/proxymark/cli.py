@@ -40,8 +40,8 @@ EXIT_EXPERIMENT = 3
 # a wrapper already set on cli.<name>.
 _RUN_SIDE = {
     "config": ("ExperimentConfig", "load_config"),
-    "harness": ("build_trigger_set", "derive_seed", "make_ball", "run_attacks", "run_experiment",
-                "setup", "train_independent"),
+    "harness": ("build_trigger_set", "derive_seed", "run_attacks", "run_experiment", "setup",
+                "train_independent"),
 }
 
 
@@ -70,9 +70,16 @@ def _load(args) -> tuple[ExperimentConfig, Path]:
         cfg = replace(cfg, seed=args.seed)  # with the config's own checks
     if args.out is not None:
         cfg.output_dir = args.out
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return cfg, outdir
+    return cfg, _make_dir(cfg.output_dir)
+
+
+def _make_dir(path) -> Path:
+    """The output directory at `path`, created if missing; one that cannot be is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def cmd_train(args) -> int:
@@ -87,7 +94,6 @@ def cmd_train(args) -> int:
 def cmd_watermark(args) -> int:
     cfg, outdir = _load(args)
     s = setup(cfg)
-    make_ball(cfg, s.source, s.train_data)  # a ball that cannot be built fails before any file is written
     save_checkpoint(s.source, outdir / "source.ckpt")
     ts = build_trigger_set(cfg, s)
     save_trigger_set(ts, outdir / "trigger_set.json")
@@ -106,6 +112,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    outdir = _make_dir(args.out) if args.out else None
     suspect = load_checkpoint(args.suspect)
     ts = load_trigger_set(args.trigger_set)
     tacc = trigger_accuracy(ts, suspect)
@@ -123,9 +130,7 @@ def cmd_verify(args) -> int:
         threshold_used=threshold,
     )
     sys.stdout.write(report.to_text())
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         (outdir / "verification.txt").write_text(report.to_text(), encoding="ascii")
         (outdir / "verification.csv").write_text(
             report.CSV_HEADER + "\n" + report.csv_row() + "\n", encoding="ascii"
@@ -136,7 +141,6 @@ def cmd_verify(args) -> int:
 def cmd_integrity(args) -> int:
     cfg, outdir = _load(args)
     s = setup(cfg)
-    make_ball(cfg, s.source, s.train_data)  # before the complement is trained
     (complement,) = train_independent(
         s.spec, s.train_data, cfg.independents.subset_fraction, [derive_seed(cfg.seed, 4)],
         train_cfg=s.train_cfg,

@@ -24,7 +24,7 @@ from .data import SplitSpec, check_blobs, check_subset_fraction
 from .errors import ConfigError, InputError
 from .nn import ACTIVATIONS, ModelSpec, TrainConfig
 from .stats import check_alpha
-from .watermark import VerifyConfig, check_ball
+from .watermark import ProxyBall, VerifyConfig, check_ball
 
 DELTA_MODES = ("relative", "absolute")
 
@@ -82,20 +82,20 @@ class DatasetBlock:
             return
         if self.generator not in (None, GeneratorBlock()):
             raise ConfigError("dataset: give either generator or csv, not both")
-        if not Path(self.csv).exists():
-            raise ConfigError(f"dataset.csv: file not found: {self.csv}")
+        if not Path(self.csv).is_file():
+            raise ConfigError(f"dataset.csv: not a file: {self.csv}")
         self.generator = None
 
 
 @dataclass
 class SourceBlock:
     hidden_layers: tuple[int, ...] = _in("model", (32, 32))
-    activation: str = _in("model", "relu")
-    epochs: int = _in("train", 100)
-    learning_rate: float = _in("train", 0.05)
-    momentum: float = _in("train", 0.9)
-    weight_decay: float = _in("train", 5e-4)
-    batch_size: int = _in("train", 2048)
+    activation: str = _in("model", ModelSpec.activation)
+    epochs: int = _in("train", TrainConfig.epochs)
+    learning_rate: float = _in("train", TrainConfig.learning_rate)
+    momentum: float = _in("train", TrainConfig.momentum)
+    weight_decay: float = _in("train", TrainConfig.weight_decay)
+    batch_size: int = _in("train", TrainConfig.batch_size)
 
     def __post_init__(self):
         _check_choice(self.activation, ACTIVATIONS, "source.model.activation")
@@ -106,12 +106,12 @@ class SourceBlock:
 @dataclass
 class BallBlock:
     delta_mode: str = "relative"
-    delta: float = 0.05
-    tau: float = 1.0
-    sigma: float | None = None
-    m: int = 16
-    n: int = 10
-    max_candidates: int | None = None
+    delta: float = 0.05  # a fraction of the source's weight norm, when relative
+    tau: float = ProxyBall.tau
+    sigma: float | None = ProxyBall.sigma
+    m: int = VerifyConfig.m
+    n: int = VerifyConfig.n
+    max_candidates: int | None = VerifyConfig.max_candidates
     alpha: float = 0.05
 
     def __post_init__(self):

@@ -123,8 +123,11 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetParseError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise DatasetParseError("empty file", line=1)
     header = lines[0].split(",")

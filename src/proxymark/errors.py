@@ -56,9 +56,5 @@ class ConfigError(ProxymarkError):
     """Invalid or unknown experiment configuration key/value."""
 
 
-class AttackFailedError(ProxymarkError):
-    """A stealing attack diverged or could not be run."""
-
-
 class TriggerSetFormatError(ProxymarkError):
     """Trigger-set manifest and blob disagree, or the manifest is malformed."""

@@ -238,7 +238,7 @@ def _child(calls: list[Callable], queue: io.RawIOBase, read: int, write: int) ->
 
 @dataclass
 class Setup:
-    """What every stage starts from: the data, its split and the source model."""
+    """What every stage starts from: the data, its split, the source and its ball."""
 
     data: Dataset
     train_data: Dataset
@@ -246,25 +246,27 @@ class Setup:
     spec: ModelSpec
     train_cfg: TrainConfig
     source: Model
+    ball: ProxyBall
 
 
 def setup(cfg: ExperimentConfig) -> Setup:
-    """Build the dataset, split it, and train the source (seed tags 10, 11, 0)."""
+    """Build the dataset, split it, train the source (seed tags 10, 11, 0) and
+    build its ball, so that a ball that cannot be built fails before any file is written."""
     data = build_dataset(cfg)
     train_data, holdout = split(data, SplitSpec(cfg.dataset.holdout_fraction, derive_seed(cfg.seed, 11)))
     c = cfg.source
     spec = ModelSpec(data.dim, c.hidden_layers, data.num_classes, c.activation)
     train_cfg = TrainConfig(c.epochs, c.learning_rate, c.momentum, c.weight_decay, c.batch_size,
                             derive_seed(cfg.seed, 0))
-    return Setup(data, train_data, holdout, spec, train_cfg, train(spec, train_data, train_cfg))
+    source = train(spec, train_data, train_cfg)
+    return Setup(data, train_data, holdout, spec, train_cfg, source, make_ball(cfg, source, train_data))
 
 
 def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] = ()) -> TriggerSet:
     """The proxy-verified trigger set (seed tag 1); with complements, the
     integrity-enhanced one."""
-    ball = make_ball(cfg, s.source, s.train_data)
     vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    return verify_trigger_set(s.holdout, s.source, ball, vcfg, complements)
+    return verify_trigger_set(s.holdout, s.source, s.ball, vcfg, complements)
 
 
 def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, list[int], list[str], Callable]]:
@@ -274,17 +276,12 @@ def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, lis
     for ai, block in enumerate(cfg.attacks if cfg.repeats else ()):
         seeds = [derive_seed(cfg.seed, 2, ai, k) for k in range(cfg.repeats)]
         names = [f"surrogate_{block.kind}_{ai}_{k}.ckpt" for k in range(cfg.repeats)]
-        runs.append((block, seeds, names, partial(_run_attack, s, block, seeds)))
+        given = _given(block)  # the source's spec and training config, with the block's overrides
+        spec, train_cfg = (replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
+                           for base in (s.spec, s.train_cfg))
+        runs.append((block, seeds, names, partial(atk.run_attack, s.source, block.kind, spec, s.train_data,
+                                                  train_cfg, seeds, block.gamma, block.prune_ratio)))
     return runs
-
-
-def _run_attack(s: Setup, block: AttackBlock, seeds: list[int]) -> list[atk.AttackResult]:
-    """The runs of `block`: the source's spec and training config with its overrides, one seed each."""
-    given = _given(block)
-    spec, train = (replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
-                   for base in (s.spec, s.train_cfg))
-    return atk.run_attack(s.source, block.kind, spec, s.train_data, train, seeds, block.gamma,
-                          block.prune_ratio)
 
 
 def _save_surrogates(runs: list, results, ckpt_dir: Path):
@@ -312,7 +309,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     s = setup(cfg)
-    make_ball(cfg, s.source, s.train_data)  # a ball that cannot be built fails before any file is written
     save_checkpoint(s.source, ckpt_dir / "source.ckpt")
 
     # The trigger set, the independents and the attacks depend only on the

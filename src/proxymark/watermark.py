@@ -118,9 +118,9 @@ def check_ball(delta: float, tau: float, sigma: float | None) -> None:
         raise InputError("sigma must be finite and positive")
 
 
-def relative_delta(source: Model, fraction: float = 0.05) -> float:
-    """Delta as a fraction of the source weight norm (desk-scale default). The
-    product is taken in Python floats, where an overflow is inf, not a warning."""
+def relative_delta(source: Model, fraction: float) -> float:
+    """Delta as a fraction of the source weight norm. The product is taken in
+    Python floats, where an overflow is inf, not a warning."""
     return float(fraction) * float(np.linalg.norm(source.theta))
 
 

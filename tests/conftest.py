@@ -1,4 +1,6 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,19 @@ def trained_source(blob_split, small_spec):
     train_data, _ = blob_split
     cfg = pm.TrainConfig(epochs=60, seed=11)
     return pm.train(small_spec, train_data, cfg)
+
+
+def written_files(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path; summary.txt without its
+    wall-clock line, the one line that may differ between two runs."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.txt":
+                data = re.sub(rb"wall clock: .*\n", b"", data)
+            files[str(path.relative_to(root))] = data
+    return files
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import written_files
 
 from proxymark import cli
 from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, build_parser, main
@@ -49,23 +50,11 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def _written(out: Path) -> dict[str, bytes]:
-    """Every file under out by relative path, summary.txt without its wall-clock line."""
-    files = {}
-    for p in sorted(out.rglob("*")):
-        if p.is_file():
-            data = p.read_bytes()
-            if p.name == "summary.txt":
-                data = re.sub(rb"wall clock: .*\n", b"", data)
-            files[str(p.relative_to(out))] = data
-    return files
-
-
 def _in_process(argv, out, capsys):
     """Exit code, stdout (with out as <out>), stderr and files of one in-process call."""
     code = main(argv + ["--out", str(out)])
     printed = capsys.readouterr()
-    return code, printed.out.replace(str(out), "<out>"), printed.err, _written(out)
+    return code, printed.out.replace(str(out), "<out>"), printed.err, written_files(out)
 
 
 class TestExitCodes:
@@ -138,6 +127,42 @@ class TestExitCodes:
         assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
         assert "no attacks configured" in capsys.readouterr().err
         assert not out.exists()  # rejected before the output directory is made
+
+    @pytest.mark.parametrize("command", ["train", "run", "verify"])
+    def test_out_on_a_file_is_2(self, config_file, tmp_path, command):
+        path, out = config_file
+        argv = [command, "--config", str(path)]
+        if command == "verify":
+            assert main(["watermark", "--config", str(path)]) == EXIT_OK
+            argv = [command, "--suspect", str(out / "source.ckpt"),
+                    "--trigger-set", str(out / "trigger_set.json")]
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        done = _python("-m", "proxymark", *argv, "--out", str(afile))
+        assert done.returncode == EXIT_CONFIG
+        assert done.stdout == ""  # verify reports nothing before it has somewhere to write
+        assert done.stderr.startswith(f"config error: cannot create output directory {afile}: ")
+        assert "Traceback" not in done.stderr
+        assert sorted(tmp_path.rglob("*")) == before  # no checkpoint, report or directory written
+
+    @pytest.mark.parametrize(
+        "fault, code, message",
+        [("directory", EXIT_CONFIG, "config error: dataset.csv: not a file: "),
+         ("non-ascii", EXIT_EXPERIMENT, "experiment error (train): cannot read ")],
+        ids=["directory", "non-ascii"],
+    )
+    def test_csv_fault_is_typed(self, config_file, tmp_path, capsys, fault, code, message):
+        path, out = config_file
+        csv = tmp_path / "data.csv"
+        if fault == "directory":
+            csv.mkdir()
+        else:
+            csv.write_bytes("y,x1,x2\n1,0.5,0.5\n2,0.5,\u00b50\n".encode("utf-8"))
+        path.write_text(re.sub(r"  generator: .*", f'  csv: "{csv}"', path.read_text()))
+        assert main(["train", "--config", str(path)]) == code
+        assert capsys.readouterr().err.startswith(message + str(csv))
+        assert not list(out.rglob("*.ckpt"))
 
     def test_experiment_error_is_3(self, config_file, capsys):
         path, _ = config_file
@@ -262,7 +287,7 @@ class TestSubcommands:
         out = tmp_path / "fresh"
         done = _python("-m", "proxymark", *argv, "--out", str(out))
         assert in_process[0] == EXIT_OK and in_process[3]
-        fresh = done.returncode, done.stdout.replace(str(out), "<out>"), done.stderr, _written(out)
+        fresh = done.returncode, done.stdout.replace(str(out), "<out>"), done.stderr, written_files(out)
         assert fresh == in_process
 
     def test_override_equal_to_the_source_still_runs(self, config_file, tmp_path, capsys):
@@ -306,7 +331,7 @@ class TestSubcommands:
 
 
 class TestBallOverflow:
-    @pytest.mark.parametrize("command", ["run", "watermark", "integrity"])
+    @pytest.mark.parametrize("command", ["train", "attack", "run", "watermark", "integrity"])
     def test_overflowing_relative_delta_fails_before_any_checkpoint(self, config_file, command):
         # 1e308 times the source's weight norm overflows: the product is inf and
         # the ball check rejects it before a checkpoint is written or a model

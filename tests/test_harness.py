@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import written_files
 
 import proxymark as pm
 from proxymark.config import ExperimentConfig, load_config, parse_config
-from proxymark.errors import AttackFailedError, ConfigError, InsufficientTransferabilityError
+from proxymark.errors import ConfigError, InsufficientTransferabilityError, TrainingDivergedError
 from proxymark.harness import PLOTDATA_HEADER, REPORT_HEADER, _fan_out, _workers, derive_seed, run_experiment
 from proxymark.watermark import ProxyBall, VerifyConfig, relative_delta
 from test_cli import YAML as CLI_YAML
@@ -121,6 +122,11 @@ class TestConfigParsing:
         cfg = parse_config({})
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.ball.m == 16
+        # the stages' own dataclasses hold the defaults; the config blocks read them
+        assert (cfg.source.activation, cfg.source.epochs, cfg.source.learning_rate, cfg.source.momentum,
+                cfg.source.weight_decay, cfg.source.batch_size) == ("relu", 100, 0.05, 0.9, 5e-4, 2048)
+        assert (cfg.ball.delta_mode, cfg.ball.delta, cfg.ball.tau, cfg.ball.sigma, cfg.ball.n,
+                cfg.ball.max_candidates) == ("relative", 0.05, 1.0, None, 10, None)
 
     @pytest.mark.parametrize(
         "tree, message",
@@ -349,19 +355,6 @@ class TestTrainIndependent:
             train_independent(small_spec, train_data, 1.5, [3], pm.TrainConfig())
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    """Every file under root by relative path; summary.txt without its
-    wall-clock line, the one line that may differ between two runs."""
-    files = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.name == "summary.txt":
-                data = b"\n".join(line for line in data.split(b"\n") if not line.startswith(b"wall clock:"))
-            files[str(path.relative_to(root))] = data
-    return files
-
-
 def _raise(exc: Exception):
     def call():
         raise exc
@@ -415,7 +408,7 @@ class TestFanOut:
             cfg.seed = seed
             run_experiment(cfg, output_dir=tmp_path / str(workers))
             assert len(forks) == workers - 1
-            trees[workers] = _tree(tmp_path / str(workers))
+            trees[workers] = written_files(tmp_path / str(workers))
         assert len(trees[1]) > 20
         assert trees[2] == trees[1] and trees[3] == trees[1]
 
@@ -430,10 +423,10 @@ class TestFanOut:
         outcomes = {}
         for workers in (1, 2, 3):
             forks = force_workers(workers)
-            with pytest.raises(AttackFailedError) as err:
+            with pytest.raises(TrainingDivergedError) as err:
                 run_experiment(load_config(path), output_dir=tmp_path / str(workers))
             assert len(forks) == workers - 1
-            outcomes[workers] = (str(err.value), _tree(tmp_path / str(workers)))
+            outcomes[workers] = (str(err.value), written_files(tmp_path / str(workers)))
         message, files = outcomes[1]
         assert "checkpoints/surrogate_soft_label_0_1.json" in files
         assert not any("finetune" in name or "prune" in name for name in files)
