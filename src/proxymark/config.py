@@ -1,10 +1,10 @@
 """Strict YAML experiment configuration.
 
 The dataclasses below are the schema: one loader walks their fields, so each
-key, type and default is stated once. Unknown keys are rejected so typos fail
-fast, every value is checked against its field's annotation (an int is taken
-where a float is expected), and `null` is accepted only for fields typed
-`X | None`. A field whose YAML key sits in a sub-mapping names it in its
+key, type and default is stated once. Unknown and repeated keys are rejected
+so typos fail fast, every value is checked against its field's annotation
+(an int is taken where a float is expected), and `null` is accepted only for
+fields typed `X | None`. A field whose YAML key sits in a sub-mapping names it in its
 metadata, e.g. `dataset.split.holdout_fraction` is `DatasetBlock.holdout_fraction`.
 Seeds for sub-stages are derived from the single top-level seed (see
 harness.derive_seed).
@@ -245,10 +245,24 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    # libyaml's parser when PyYAML was built with it: about 7x faster than
+    # the pure-Python one, and the same safe constructors
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            """The mapping, unless it repeats a key (a merged `<<` key may be overridden)."""
+            keys = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {key!r}", key_node.start_mark)
+                    keys.add(key)
+            return super().construct_mapping(node, deep)
+
     try:
-        # libyaml's parser when PyYAML was built with it: about 7x faster
-        # than the pure-Python one, and the same safe constructors
-        tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        tree = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config({} if tree is None else tree)

@@ -34,14 +34,12 @@ class BallTooTightError(ProxymarkError):
 class InsufficientTransferabilityError(ProxymarkError):
     """Verification ran out of candidates before collecting n samples.
 
-    Carries the partial trigger set and the acceptance statistics so callers
-    can inspect how far the run got.
+    Carries the partial trigger set, whose stats say how far the run got.
     """
 
-    def __init__(self, message, partial_set=None, stats=None):
+    def __init__(self, message, partial_set=None):
         super().__init__(message)
         self.partial_set = partial_set
-        self.stats = stats
 
 
 class DegenerateRuleError(ProxymarkError):

@@ -41,14 +41,7 @@ from .config import AttackBlock, ExperimentConfig
 from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split
 from .errors import InputError
 from .nn import Model, ModelSpec, TrainConfig, accuracy, fit_many, save_checkpoint, train
-from .stats import (
-    TransferabilityBound,
-    Verdict,
-    clopper_pearson_lower,
-    lemma_bound,
-    ownership_verdict,
-    trigger_accuracy,
-)
+from .stats import Verdict, clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
 from .watermark import (
     ProxyBall,
     TriggerSet,
@@ -76,17 +69,13 @@ class ReportRow:
     trigger_acc: float
     verdict: str
 
-    def to_csv(self) -> str:
-        return ",".join(
-            [self.role, self.attack, str(self.seed), repr(self.clean_acc),
-             repr(self.trigger_acc), self.verdict]
-        )
-
 
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
-    bound: TransferabilityBound
+    p_hat: float  # Clopper-Pearson lower bound at m of m, at alpha
+    alpha: float
+    phi: float  # lemma_bound(n, alpha)
     baseline_accuracy: float
     baseline_kind: str
     acceptance_stats: dict
@@ -326,7 +315,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     save_trigger_set(trigger_set, outdir / "trigger_set.json")
 
     p_hat = clopper_pearson_lower(cfg.ball.m, cfg.ball.m, cfg.ball.alpha)
-    bound = TransferabilityBound(p_hat, cfg.ball.alpha, lemma_bound(trigger_set.n, cfg.ball.alpha))
 
     independents: list[tuple[int, Model]] = []  # (seed, model)
     for k, (seed, g) in enumerate(zip(independent_seeds, next(results) if independent_seeds else ())):
@@ -357,7 +345,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
 
     report = ExperimentReport(
         rows=rows,
-        bound=bound,
+        p_hat=p_hat,
+        alpha=cfg.ball.alpha,
+        phi=lemma_bound(trigger_set.n, cfg.ball.alpha),
         baseline_accuracy=baseline,
         baseline_kind=baseline_kind,
         acceptance_stats={
@@ -384,9 +374,9 @@ def _write_attack_manifest(path: Path, block: AttackBlock, seed: int, result: at
 
 def emit_report(report: ExperimentReport, output_dir) -> None:
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    lines = [REPORT_HEADER] + [row.to_csv() for row in report.rows]
+    lines = [REPORT_HEADER] + [
+        f"{r.role},{r.attack},{r.seed},{r.clean_acc!r},{r.trigger_acc!r},{r.verdict}" for r in report.rows
+    ]
     (outdir / "report.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     plot_lines = [PLOTDATA_HEADER] + [
@@ -395,8 +385,8 @@ def emit_report(report: ExperimentReport, output_dir) -> None:
     (outdir / "plotdata.csv").write_text("\n".join(plot_lines) + "\n", encoding="ascii")
 
     summary = ["experiment summary", "=" * 40]
-    summary.append(f"p_hat (CP lower, alpha={report.bound.alpha}): {report.bound.p_hat:.6f}")
-    summary.append(f"phi (set-level): {report.bound.phi:.6f}")
+    summary.append(f"p_hat (CP lower, alpha={report.alpha}): {report.p_hat:.6f}")
+    summary.append(f"phi (set-level): {report.phi:.6f}")
     summary.append(
         f"baseline trigger accuracy: {report.baseline_accuracy:.6f} ({report.baseline_kind})"
     )

@@ -352,8 +352,10 @@ def fit_many(spec: ModelSpec, features, labels, cfg: TrainConfig, seeds: list[in
 
     Returns, per model, (Model, loss history). At the first step where any
     model's loss is not finite it raises the TrainingDivergedError that fit
-    raises for the lowest-index such model, and after the last step it raises
-    one if any parameter is not finite.
+    raises for the lowest-index such model. After the last step it raises one
+    if any parameter is not finite, and then for the lowest-index model whose
+    last-epoch mean loss is the clip ceiling -log(PROB_FLOOR): every row's
+    target probability at the floor, a blow-up that the clip keeps finite.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must be in [0, 1], got {gamma}")
@@ -416,6 +418,9 @@ def fit_many(spec: ModelSpec, features, labels, cfg: TrainConfig, seeds: list[in
     history = np.ascontiguousarray(np.reshape(losses, (cfg.epochs, steps, k)).transpose(2, 0, 1)).mean(axis=2)
     if not np.isfinite(theta).all():
         raise TrainingDivergedError("parameters became non-finite")
+    for value in history[:, -1:].ravel().tolist():
+        if math.isclose(value, -math.log(PROB_FLOOR), rel_tol=1e-9):
+            raise TrainingDivergedError(f"loss reached its clip ceiling -log(PROB_FLOOR) = {value:.2f}")
     return [(Model(spec, np.concatenate([a[j].ravel() for layer in layers for a in layer])),
              history[j].tolist()) for j in range(k)]
 

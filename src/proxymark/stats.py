@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -14,58 +13,10 @@ from .nn import Model, predict
 _BISECT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TransferabilityBound:
-    p_hat: float
-    alpha: float
-    phi: float
-
-
 class Verdict(str, Enum):
     STOLEN = "stolen"
     INDEPENDENT = "independent"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class VerificationReport:
-    trigger_accuracy: float
-    bound: TransferabilityBound
-    baseline_accuracy: float
-    baseline_kind: str  # "independent-models" or "chance"
-    verdict: Verdict
-    threshold_used: float
-
-    def to_text(self) -> str:
-        lines = [
-            "ownership verification report",
-            f"  trigger_accuracy:  {self.trigger_accuracy:.6f}",
-            f"  p_hat (CP lower):  {self.bound.p_hat:.6f} at alpha={self.bound.alpha}",
-            f"  phi (set-level):   {self.bound.phi:.6f}",
-            f"  baseline_accuracy: {self.baseline_accuracy:.6f} ({self.baseline_kind})",
-            f"  threshold:         {self.threshold_used:.6f} (midpoint rule, re-thresholdable)",
-            f"  verdict:           {self.verdict.value}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.trigger_accuracy),
-                repr(self.bound.p_hat),
-                repr(self.bound.alpha),
-                repr(self.bound.phi),
-                repr(self.baseline_accuracy),
-                self.baseline_kind,
-                repr(self.threshold_used),
-                self.verdict.value,
-            ]
-        )
-
-    CSV_HEADER = (
-        "trigger_accuracy,p_hat,alpha,phi,"
-        "baseline_accuracy,baseline_kind,threshold,verdict"
-    )
 
 
 def _binomial_tail(t: int, m: int, p: float) -> float:

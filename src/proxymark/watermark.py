@@ -289,7 +289,6 @@ def _collect(
             + ("the complements are likely too close to the source" if complement_vetoes > proxy_vetoes
                else "the ball is likely mis-sized"),
             partial_set=ts,
-            stats=stats,
         )
     return ts
 

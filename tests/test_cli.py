@@ -9,14 +9,17 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import written_files
 
+import proxymark as pm
 from proxymark import cli
 from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, build_parser, main
+from proxymark.nn import init_model
 
 YAML = """
 seed: 9
@@ -69,6 +72,7 @@ class TestExitCodes:
         [
             ("seed: 9", "seed: abc"),
             ("seed: 9", "seed: -1"),
+            ("seed: 9", "seed: 9\nseed: 10"),
             ("epochs: 50", "epochs: many"),
             ("delta: 0.05", "delta: null"),
             ("hidden_layers: [16]", "hidden_layers: 16"),
@@ -110,9 +114,14 @@ class TestExitCodes:
 
     def test_unreadable_suspect_is_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.ckpt"
-        code = main(["verify", "--suspect", str(missing), "--trigger-set", str(tmp_path / "ts.json")])
-        assert code == EXIT_EXPERIMENT
-        assert capsys.readouterr().err.startswith(f"experiment error (verify): {missing}: cannot read (")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = ["verify", "--suspect", str(missing), "--trigger-set", str(tmp_path / "ts.json")]
+        # --out is made only once the verdict is reached, so an unusable one goes unseen
+        for out in ([], ["--out", str(tmp_path / "report")], ["--out", str(afile)]):
+            assert main(argv + out) == EXIT_EXPERIMENT
+            assert capsys.readouterr().err.startswith(f"experiment error (verify): {missing}: cannot read (")
+        assert list(tmp_path.iterdir()) == [afile]
 
     @pytest.mark.parametrize(
         "old, new",
@@ -197,7 +206,7 @@ class TestExitCodes:
             (lambda man: man["ball"].update(m=2.5), "ball.m must be a positive integer"),
         ],
     )
-    def test_malformed_trigger_set_is_3(self, config_file, capsys, edit, message):
+    def test_malformed_trigger_set_is_3(self, config_file, tmp_path, capsys, edit, message):
         path, out = config_file
         assert main(["watermark", "--config", str(path)]) == EXIT_OK
         manifest_path = out / "trigger_set.json"
@@ -206,9 +215,10 @@ class TestExitCodes:
         manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
         argv = ["verify", "--suspect", str(out / "source.ckpt"),
-                "--trigger-set", str(manifest_path)]
+                "--trigger-set", str(manifest_path), "--out", str(tmp_path / "report")]
         assert main(argv) == EXIT_EXPERIMENT
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
 
 class TestSubcommands:
@@ -237,6 +247,44 @@ class TestSubcommands:
         assert (out / "verdict" / "verification.csv").exists()
         header = (out / "verdict" / "verification.csv").read_text().splitlines()[0]
         assert header.startswith("trigger_accuracy,")
+
+    def test_verify_report_byte_for_byte(self, config_file, tmp_path, capsys):
+        # every figure recomputed here: the bound at m of m, phi = (1 - alpha)^n,
+        # the chance baseline 1/K and the midpoint between it and p_hat
+        path, out = config_file
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        ts = pm.load_trigger_set(out / "trigger_set.json")
+        p_hat, phi = (0.05 / 2) ** (1 / ts.ball_params["m"]), 0.95**ts.n
+        source = pm.load_checkpoint(out / "checkpoints" / "source.ckpt")
+        for seed in range(4):  # untrained models, for verdicts other than stolen
+            pm.save_checkpoint(init_model(source.spec, seed), tmp_path / f"untrained_{seed}.ckpt")
+        verdicts = set()
+        for ckpt in sorted((out / "checkpoints").glob("*.ckpt")) + sorted(tmp_path.glob("*.ckpt")):
+            suspect = pm.load_checkpoint(ckpt)
+            tacc = float(np.mean(pm.predict(suspect, ts.xs) == ts.y_star))
+            baseline = 1 / suspect.spec.num_classes
+            threshold = (baseline + p_hat) / 2
+            verdict = ("stolen" if tacc >= threshold else "independent" if tacc <= baseline
+                       else "inconclusive")
+            verdicts.add(verdict)
+            text = (
+                "ownership verification report\n"
+                f"  trigger_accuracy:  {tacc:.6f}\n"
+                f"  p_hat (CP lower):  {p_hat:.6f} at alpha=0.05\n"
+                f"  phi (set-level):   {phi:.6f}\n"
+                f"  baseline_accuracy: {baseline:.6f} (chance)\n"
+                f"  threshold:         {threshold:.6f} (midpoint rule, re-thresholdable)\n"
+                f"  verdict:           {verdict}\n"
+            )
+            csv = ("trigger_accuracy,p_hat,alpha,phi,baseline_accuracy,baseline_kind,threshold,verdict\n"
+                   f"{tacc!r},{p_hat!r},0.05,{phi!r},{baseline!r},chance,{threshold!r},{verdict}\n")
+            capsys.readouterr()
+            report = tmp_path / ckpt.stem
+            argv = ["verify", "--suspect", str(ckpt), "--trigger-set", str(out / "trigger_set.json")]
+            assert main(argv + ["--out", str(report)]) == EXIT_OK
+            assert capsys.readouterr().out == text
+            assert written_files(report) == {"verification.csv": csv.encode(), "verification.txt": text.encode()}
+        assert verdicts == {"stolen", "independent", "inconclusive"}
 
     def test_attack_writes_surrogates(self, config_file, capsys):
         path, out = config_file
@@ -488,6 +536,24 @@ class TestBenchmarkHooks:
         capsys.readouterr()
         # one call per attack block, which runs the block's 3 repeats as one stack
         assert seen == [(name, 3) for name in names]
+
+    def test_verify_calls_every_hook_once(self, config_file):
+        # the traced run wraps these names where cmd_verify looks them up; a
+        # call moved elsewhere would read 0 there, not fail
+        path, out = config_file
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        tracer = _spans().Tracer()
+        try:
+            tracer.install()
+            tracer.on = True
+            assert main(["verify", "--suspect", str(out / "source.ckpt"),
+                         "--trigger-set", str(out / "trigger_set.json")]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        spans = Counter(tracer.names[i] for i in tracer.name)
+        hooked = ("stats.clopper_pearson", "stats.trigger_accuracy", "stats.verdict", "watermark.load",
+                  "nn.checkpoint_load", "cli.cmd_verify")
+        assert {name: spans[name] for name in hooked} == dict.fromkeys(hooked, 1)
 
     def test_cli_import_loads_no_process_pool(self):
         # a fresh-process `verify` (cli_verify_s) pays for every module that

@@ -105,18 +105,45 @@ class TestConfigParsing:
     def test_libyaml_tree_equals_pure_python(self, text):
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
-    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
-    def test_either_loader(self, tmp_path, monkeypatch, libyaml):
-        if not libyaml:
+    @pytest.fixture(params=[True, False], ids=["libyaml", "pure-python"])
+    def libyaml(self, request, monkeypatch):
+        """load_config with libyaml's loader, or with the pure-Python one."""
+        if not request.param:
             monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         elif not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML is built without libyaml")
+        return request.param
+
+    def test_either_loader(self, tmp_path, libyaml):
         path = tmp_path / "exp.yaml"
         path.write_text(SMALL_YAML.format(out=tmp_path / "out"))
         assert load_config(path) == parse_config(yaml.safe_load(path.read_text()))
         path.write_text("seed: [unclosed")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [("seed: 1\nseed: 2\n", "seed", 2),
+         ("source:\n  train: {epochs: 5}\n  train: {epochs: 6}\n", "train", 3),
+         ("attacks:\n  - {kind: rgt, kind: prune}\n", "kind", 2)],
+        ids=["top-level", "nested-block", "flow-mapping"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, libyaml, text, key, line):
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"invalid YAML in {path}: duplicate key '{key}'\n")
+        assert f", line {line}, column " in str(err.value)
+
+    def test_merged_key_may_be_overridden(self, tmp_path, libyaml):
+        # a `<<` merge is not a repeated key: the mapping's own key wins
+        path = tmp_path / "exp.yaml"
+        path.write_text("source:\n  train: &t {epochs: 5, batch_size: 8}\n"
+                        "attacks:\n  - {<<: *t, kind: soft_label, epochs: 6}\n")
+        cfg = load_config(path)
+        assert (cfg.source.epochs, cfg.attacks[0].epochs, cfg.attacks[0].batch_size) == (5, 6, 8)
 
     def test_empty_config_uses_defaults(self):
         cfg = parse_config({})
@@ -252,10 +279,9 @@ class TestRunExperiment:
 
     def test_bound_fields(self, experiment):
         _, report, _ = experiment
-        assert report.bound.p_hat == pytest.approx(
-            pm.clopper_pearson_lower(8, 8, 0.05)
-        )
-        assert report.bound.phi == pytest.approx(pm.lemma_bound(6, 0.05))
+        assert report.alpha == 0.05
+        assert report.p_hat == pytest.approx(pm.clopper_pearson_lower(8, 8, 0.05))
+        assert report.phi == pytest.approx(pm.lemma_bound(6, 0.05))
 
     def test_artifacts_on_disk(self, experiment):
         _, _, outdir = experiment
@@ -457,8 +483,8 @@ class TestFanOut:
         with pytest.raises(InsufficientTransferabilityError) as forked:
             list(results)
         assert str(forked.value) == str(serial.value)
-        assert forked.value.stats == serial.value.stats
         got, want = forked.value.partial_set, serial.value.partial_set
+        assert got.stats == want.stats
         assert got.n == want.n < 10
         for name in ("xs", "y_star", "parents", "lam"):
             assert np.array_equal(getattr(got, name), getattr(want, name))

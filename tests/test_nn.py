@@ -192,6 +192,15 @@ class TestFit:
         with pytest.raises(TrainingDivergedError, match="parameters became non-finite"):
             fit(small_spec, 1e6 * train_data.features, train_data.labels, cfg)
 
+    def test_loss_at_the_clip_ceiling_raises(self, blob_data, small_spec):
+        # the loss stays finite while |theta| reaches about 1e118: by the last
+        # epoch every row's target probability is clipped to PROB_FLOOR
+        cfg = pm.TrainConfig(epochs=60, learning_rate=100)
+        with pytest.raises(TrainingDivergedError) as caught:
+            fit(small_spec, blob_data.features, blob_data.labels, cfg)
+        assert str(caught.value) == "loss reached its clip ceiling -log(PROB_FLOOR) = 27.63"
+        assert -np.log(PROB_FLOOR) == pytest.approx(27.63, abs=0.005)
+
     def test_training_reduces_loss(self, blob_split, small_spec):
         train_data, _ = blob_split
         _, history = fit(
@@ -578,6 +587,19 @@ class TestFitMany:
                      lambda: fit_many(spec, x, y, cfg, [1, 2], rows=rows)):
             with pytest.raises(TrainingDivergedError, match="parameters became non-finite"):
                 call()
+
+    def test_a_member_at_the_loss_ceiling_fails_the_stack(self, blob_data, small_spec):
+        # member 0 learns a single class; member 1 is TestFit's blown-up model
+        x, y = blob_data.features, blob_data.labels
+        rows = [np.resize(np.flatnonzero(y == 0), len(y)), np.arange(len(y))]
+        cfg = pm.TrainConfig(epochs=60, learning_rate=100)
+        ((_, history),) = fit_many(small_spec, x, y, cfg, [1], rows=rows[:1])
+        assert history[-1] < 1e-6
+        with pytest.raises(TrainingDivergedError, match="clip ceiling") as solo:
+            fit(small_spec, x, y, cfg)
+        with pytest.raises(TrainingDivergedError) as stacked:
+            fit_many(small_spec, x, y, cfg, [1, cfg.seed], rows=rows)
+        assert str(stacked.value) == str(solo.value)
 
     def test_rows_are_one_in_range_list_per_seed(self):
         spec = pm.ModelSpec(3, (8,), 4)

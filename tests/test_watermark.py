@@ -261,7 +261,7 @@ class TestVerifyTriggerSet:
                 ts = pm.verify_trigger_set(holdout, source, ball, cfg)
                 rates.append(ts.stats.acceptance_rate)
             except InsufficientTransferabilityError as err:
-                rates.append(err.stats.acceptance_rate)
+                rates.append(err.partial_set.stats.acceptance_rate)
         for lo, hi in zip(rates[1:], rates[:-1]):
             assert lo <= hi + 0.02
 
@@ -272,7 +272,7 @@ class TestVerifyTriggerSet:
         cfg = VerifyConfig(m=16, n=10, max_candidates=30, seed=5)
         with pytest.raises(InsufficientTransferabilityError) as err:
             pm.verify_trigger_set(holdout, source, ball, cfg)
-        assert err.value.stats.candidates_consumed == 30
+        assert err.value.partial_set.stats.candidates_consumed == 30
         assert err.value.partial_set.n < 10
 
 
