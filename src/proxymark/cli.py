@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ProxymarkError
 from .nn import accuracy, load_checkpoint, save_checkpoint
-from .stats import clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
+from .stats import ALPHA, clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
 from .watermark import load_trigger_set, save_trigger_set
 
 # perfbench/spans.py wraps these names in every module that once called them;
@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
     ts = load_trigger_set(args.trigger_set)
     tacc = trigger_accuracy(ts, suspect)
     m = ts.ball_params["m"]
-    alpha = 0.05
+    alpha = ts.ball_params.get("alpha", ALPHA)
     p_hat = clopper_pearson_lower(m, m, alpha)
     phi = lemma_bound(ts.n, alpha)
     baseline = 1.0 / suspect.spec.num_classes

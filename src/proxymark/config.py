@@ -23,7 +23,7 @@ from .attacks import ATTACK_KINDS, check_params
 from .data import SplitSpec, check_blobs, check_subset_fraction
 from .errors import ConfigError, InputError
 from .nn import ACTIVATIONS, ModelSpec, TrainConfig
-from .stats import check_alpha
+from .stats import ALPHA, check_alpha
 from .watermark import ProxyBall, VerifyConfig, check_ball
 
 DELTA_MODES = ("relative", "absolute")
@@ -112,7 +112,7 @@ class BallBlock:
     m: int = VerifyConfig.m
     n: int = VerifyConfig.n
     max_candidates: int | None = VerifyConfig.max_candidates
-    alpha: float = 0.05
+    alpha: float = ALPHA
 
     def __post_init__(self):
         _check_choice(self.delta_mode, DELTA_MODES, "ball.delta_mode")

@@ -39,9 +39,9 @@ import numpy as np
 from . import attacks as atk
 from .config import AttackBlock, ExperimentConfig
 from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split
-from .errors import InputError
+from .errors import DegenerateRuleError, InputError
 from .nn import Model, ModelSpec, TrainConfig, accuracy, fit_many, save_checkpoint, train
-from .stats import Verdict, clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
+from .stats import clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
 from .watermark import (
     ProxyBall,
     TriggerSet,
@@ -109,13 +109,12 @@ def train_independent(
     spec: ModelSpec, data: Dataset, subset_fraction: float, seeds: list[int], train_cfg: TrainConfig
 ) -> list[Model]:
     """One model per seed, each on its own seeded random subset of the same
-    size, trained as one stack; fraction 1.0 trains on all of the data."""
+    size, trained as one stack."""
     check_subset_fraction(subset_fraction)
     size = int(subset_fraction * data.n)
     if size == 0:
         raise InputError("subset_fraction produces an empty training set")
-    rows = None if subset_fraction == 1.0 else [
-        np.sort(np.random.default_rng([seed, 99]).choice(data.n, size, replace=False)) for seed in seeds]
+    rows = [np.sort(np.random.default_rng([seed, 99]).choice(data.n, size, replace=False)) for seed in seeds]
     return [model for model, _ in fit_many(spec, data.features, data.labels, train_cfg, seeds, rows=rows)]
 
 
@@ -253,9 +252,11 @@ def setup(cfg: ExperimentConfig) -> Setup:
 
 def build_trigger_set(cfg: ExperimentConfig, s: Setup, complements: list[Model] = ()) -> TriggerSet:
     """The proxy-verified trigger set (seed tag 1); with complements, the
-    integrity-enhanced one."""
+    integrity-enhanced one. Its ball parameters carry the run's alpha."""
     vcfg = VerifyConfig(cfg.ball.m, cfg.ball.n, cfg.ball.max_candidates, derive_seed(cfg.seed, 1))
-    return verify_trigger_set(s.holdout, s.source, s.ball, vcfg, complements)
+    ts = verify_trigger_set(s.holdout, s.source, s.ball, vcfg, complements)
+    ts.ball_params["alpha"] = cfg.ball.alpha
+    return ts
 
 
 def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, list[int], list[str], Callable]]:
@@ -330,9 +331,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
 
     def row(role: str, attack: str, seed: int, model: Model) -> ReportRow:
         tacc = trigger_accuracy(trigger_set, model)
-        verdict = (Verdict.INCONCLUSIVE if baseline >= p_hat
-                   else ownership_verdict(tacc, baseline, p_hat)[0])
-        return ReportRow(role, attack, seed, accuracy(s.data, model), tacc, verdict.value)
+        try:
+            verdict = ownership_verdict(tacc, baseline, p_hat)[0].value
+        except DegenerateRuleError:
+            verdict = "degenerate"
+        return ReportRow(role, attack, seed, accuracy(s.data, model), tacc, verdict)
 
     rows = [row("source", "-", s.train_cfg.seed, s.source)]
     prune_curve: list[tuple[float, float, float]] = []

@@ -11,6 +11,7 @@ from .errors import DegenerateRuleError, InputError
 from .nn import Model, predict
 
 _BISECT_TOL = 1e-10
+ALPHA = 0.05  # the decision rule's default significance level
 
 
 class Verdict(str, Enum):

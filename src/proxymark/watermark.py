@@ -23,6 +23,7 @@ from .errors import (
     TriggerSetFormatError,
 )
 from .nn import Model, accuracy, fingerprint, predict, stacked_forward
+from .stats import ALPHA
 
 LAMBDA_MARGIN = 1e-6  # keep the mixing weight strictly interior
 _REJECTION_CAP = 1000  # consecutive proxy rejections under tau < 1
@@ -384,6 +385,9 @@ def load_trigger_set(path) -> TriggerSet:
     m = ball.get("m", "missing")
     if not (type(m) is int and m >= 1):
         raise TriggerSetFormatError(f"{path}: ball.m must be a positive integer, not {m}")
+    alpha = ball.get("alpha", ALPHA)  # a set without one is verified at ALPHA
+    if not (type(alpha) is float and 0.0 < alpha < 1.0):
+        raise TriggerSetFormatError(f"{path}: ball.alpha must be a float in (0, 1), not {alpha}")
     if np.any(y_star < 1):
         raise TriggerSetFormatError(f"{path}: y_star below 1 (labels are 1-based on disk)")
     if np.any(parents < 0):

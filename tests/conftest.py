@@ -7,6 +7,9 @@ import pytest
 
 import proxymark as pm
 
+# the one message of nn.fit_many's TrainingDivergedError
+DIVERGED = "training diverged: the largest |theta| is not <= 1 / PROB_FLOOR = 1e12"
+
 
 @pytest.fixture(scope="session")
 def blob_data():

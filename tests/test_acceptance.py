@@ -20,7 +20,8 @@ import proxymark as pm
 from proxymark import attacks as atk
 from proxymark.config import parse_config
 from proxymark.errors import DegenerateRuleError
-from proxymark.harness import Setup, build_trigger_set, derive_seed, run_attacks, run_experiment, setup
+from proxymark.harness import (Setup, build_trigger_set, derive_seed, run_attacks, run_experiment, setup,
+                               train_independent)
 from proxymark.nn import init_model
 from proxymark.stats import Verdict
 from proxymark.watermark import ProxyBall, VerifyConfig, build_proxies, relative_delta
@@ -375,8 +376,9 @@ def test_criterion_12_integrity_enhanced_verification():
         "ball": {"delta_mode": "relative", "delta": 0.05, "m": 16, "n": 10, "max_candidates": 10_000},
     }
     cfg, s, plain = _built(tree, 0)
-    half = s.train_data.subset(np.arange(0, s.train_data.n, 2))
-    complement = pm.train(s.spec, half, replace(s.train_cfg, seed=derive_seed(0, 4)))
+    # the complement that `proxymark integrity` trains (seed tag 4)
+    (complement,) = train_independent(s.spec, s.train_data, cfg.independents.subset_fraction,
+                                      [derive_seed(0, 4)], s.train_cfg)
     strict = build_trigger_set(cfg, s, [complement])
     comp_acc = pm.trigger_accuracy(strict, complement)
     elapsed = time.monotonic() - start

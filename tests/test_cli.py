@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import written_files
+from conftest import DIVERGED, written_files
 
 import proxymark as pm
 from proxymark import cli
@@ -204,6 +204,9 @@ class TestExitCodes:
             (lambda man: man["ball"].pop("m"), "ball.m must be a positive integer, not missing"),
             (lambda man: man["ball"].update(m=None), "ball.m must be a positive integer"),
             (lambda man: man["ball"].update(m=2.5), "ball.m must be a positive integer"),
+            (lambda man: man["ball"].update(alpha=2.0), "ball.alpha must be a float in (0, 1), not 2.0"),
+            (lambda man: man["ball"].update(alpha="0.05"), "ball.alpha must be a float in (0, 1), not 0.05"),
+            (lambda man: man["ball"].update(alpha=True), "ball.alpha must be a float in (0, 1), not True"),
         ],
     )
     def test_malformed_trigger_set_is_3(self, config_file, tmp_path, capsys, edit, message):
@@ -248,13 +251,23 @@ class TestSubcommands:
         header = (out / "verdict" / "verification.csv").read_text().splitlines()[0]
         assert header.startswith("trigger_accuracy,")
 
-    def test_verify_report_byte_for_byte(self, config_file, tmp_path, capsys):
-        # every figure recomputed here: the bound at m of m, phi = (1 - alpha)^n,
-        # the chance baseline 1/K and the midpoint between it and p_hat
+    @pytest.mark.parametrize("alpha, given", [(0.05, True), (0.01, True), (0.05, False)],
+                             ids=["alpha-0.05", "alpha-0.01", "no-alpha"])
+    def test_verify_report_byte_for_byte(self, config_file, tmp_path, capsys, alpha, given):
+        # every figure recomputed here: the bound at m of m at the run's alpha,
+        # phi = (1 - alpha)^n, the chance baseline 1/K and the midpoint between
+        # it and p_hat; a manifest without alpha is verified at 0.05
         path, out = config_file
+        path.write_text(path.read_text().replace("4000}", f"4000, alpha: {alpha}}}"))
         assert main(["run", "--config", str(path)]) == EXIT_OK
         ts = pm.load_trigger_set(out / "trigger_set.json")
-        p_hat, phi = (0.05 / 2) ** (1 / ts.ball_params["m"]), 0.95**ts.n
+        assert ts.ball_params["alpha"] == alpha
+        if not given:
+            manifest = json.loads((out / "trigger_set.json").read_text())
+            del manifest["ball"]["alpha"]
+            (out / "trigger_set.json").write_text(json.dumps(manifest))
+        p_hat, phi = (alpha / 2) ** (1 / ts.ball_params["m"]), (1 - alpha) ** ts.n
+        assert f"p_hat (CP lower, alpha={alpha}): {p_hat:.6f}\n" in (out / "summary.txt").read_text()
         source = pm.load_checkpoint(out / "checkpoints" / "source.ckpt")
         for seed in range(4):  # untrained models, for verdicts other than stolen
             pm.save_checkpoint(init_model(source.spec, seed), tmp_path / f"untrained_{seed}.ckpt")
@@ -270,14 +283,14 @@ class TestSubcommands:
             text = (
                 "ownership verification report\n"
                 f"  trigger_accuracy:  {tacc:.6f}\n"
-                f"  p_hat (CP lower):  {p_hat:.6f} at alpha=0.05\n"
+                f"  p_hat (CP lower):  {p_hat:.6f} at alpha={alpha}\n"
                 f"  phi (set-level):   {phi:.6f}\n"
                 f"  baseline_accuracy: {baseline:.6f} (chance)\n"
                 f"  threshold:         {threshold:.6f} (midpoint rule, re-thresholdable)\n"
                 f"  verdict:           {verdict}\n"
             )
             csv = ("trigger_accuracy,p_hat,alpha,phi,baseline_accuracy,baseline_kind,threshold,verdict\n"
-                   f"{tacc!r},{p_hat!r},0.05,{phi!r},{baseline!r},chance,{threshold!r},{verdict}\n")
+                   f"{tacc!r},{p_hat!r},{alpha!r},{phi!r},{baseline!r},chance,{threshold!r},{verdict}\n")
             capsys.readouterr()
             report = tmp_path / ckpt.stem
             argv = ["verify", "--suspect", str(ckpt), "--trigger-set", str(out / "trigger_set.json")]
@@ -429,7 +442,7 @@ class TestFanOut:
             outcomes[workers] = _in_process([command, "--config", str(path)], tmp_path / str(workers), capsys)
         code, _, err, files = outcomes[1]
         assert code == EXIT_EXPERIMENT
-        assert f"experiment error ({command}): loss became nan" in err
+        assert f"experiment error ({command}): {DIVERGED}\n" in err
         assert any("soft_label" in name for name in files)
         assert not any("finetune" in name for name in files)
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
@@ -450,7 +463,7 @@ class TestFanOut:
             outcomes[workers] = done.returncode, done.stdout, done.stderr
         code, _, err = outcomes[1]
         assert code == EXIT_EXPERIMENT
-        assert f"experiment error ({command}): loss became nan" in err
+        assert f"experiment error ({command}): {DIVERGED}\n" in err
         assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
 

@@ -350,16 +350,27 @@ class TestShippedConfigs:
         assert [ratio for ratio, _, _ in rows] == [round(0.1 * i, 1) for i in range(9)]
         assert rows[0][2] == 1.0
 
+    def test_a_degenerate_rule_is_flagged_on_every_row(self, tmp_path):
+        # at seed 1 the independents' mean trigger accuracy (0.925) is above p_hat (0.794)
+        cfg = load_config(CONFIGS / "blob_default.yaml")
+        cfg.seed = 1
+        report = run_experiment(cfg, output_dir=tmp_path)
+        assert report.baseline_accuracy > report.p_hat
+        lines = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(report.rows) == 20
+        assert {line.rsplit(",", 1)[1] for line in lines} == {"degenerate"}
+
 
 class TestTrainIndependent:
     def test_full_fraction_matches_plain_training(self, blob_split, small_spec):
         from proxymark.harness import train_independent
 
         train_data, _ = blob_split
-        cfg = pm.TrainConfig(epochs=20, seed=77)
-        (g,) = train_independent(small_spec, train_data, 1.0, [77], train_cfg=cfg)
-        plain = pm.train(small_spec, train_data, cfg)
-        assert np.array_equal(g.theta, plain.theta)
+        for batch_size in (2048, 16):
+            cfg = pm.TrainConfig(epochs=20, batch_size=batch_size, seed=77)
+            (g,) = train_independent(small_spec, train_data, 1.0, [77], train_cfg=cfg)
+            plain = pm.train(small_spec, train_data, cfg)
+            assert g.theta.tobytes() == plain.theta.tobytes()
 
     def test_subset_is_deterministic(self, blob_split, small_spec):
         from proxymark.harness import train_independent
