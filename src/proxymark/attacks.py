@@ -12,8 +12,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .nn import (Model, ModelSpec, TrainConfig, _activate, _check_features, accuracy, fit_many,
-                 forward, predict, unpack)
+from .nn import (Model, ModelSpec, TrainConfig, _check_features, _forward, _stack_layers, accuracy,
+                 fit_many, forward, predict, unpack)
 
 # perfbench/spans.py wraps attacks.fit; it stays importable from here, although
 # the attacks now train through fit_many.
@@ -73,12 +73,12 @@ def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, seed
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
-    """Mean absolute post-activation per hidden neuron over the calibration set."""
-    a, activities = _check_features(f.spec, calibration.features)[0], []
-    for w, b in unpack(f.spec, f.theta)[:-1]:
-        a = _activate(a @ w + b, f.spec.activation)
-        activities.append(np.mean(np.abs(a), axis=0))
-    return activities
+    """Mean absolute post-activation per hidden neuron over the calibration
+    set, read from the hidden layers of one forward pass."""
+    x = _check_features(f.spec, calibration.features)[0]
+    post = [np.empty((len(x), 1, d)) for d in f.spec.layer_dims[1:]]
+    _forward(_stack_layers(f.spec, f.theta, 1), f.spec.activation, x, post)
+    return [np.mean(np.abs(a[:, 0]), axis=0) for a in post[:-1]]
 
 
 def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list[AttackResult]:

@@ -94,13 +94,15 @@ class TrainConfig:
 def _stack_layers(spec: ModelSpec, theta: np.ndarray, k: int):
     """Per-layer (W, b) views of a layer-major stack of k models: a layer's k
     weight matrices, (k, fan_in, fan_out), then its k bias rows, (k, fan_out).
-    At k=1 this is one model's own parameter layout."""
+    At k=1 this is one model's own parameter layout, and on a model-major
+    (m, num_params) block, m such models' views, (m, fan_in, fan_out) and
+    (m, fan_out)."""
     dims = spec.layer_dims
     layers, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = theta[offset : offset + k * fan_in * fan_out].reshape(k, fan_in, fan_out)
+        w = theta[..., offset : offset + k * fan_in * fan_out].reshape(-1, fan_in, fan_out)
         offset += k * fan_in * fan_out
-        layers.append((w, theta[offset : offset + k * fan_out].reshape(k, fan_out)))
+        layers.append((w, theta[..., offset : offset + k * fan_out].reshape(-1, fan_out)))
         offset += k * fan_out
     return layers
 
@@ -121,13 +123,6 @@ def init_theta(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def init_model(spec: ModelSpec, seed: int) -> Model:
     return Model(spec, init_theta(spec, np.random.default_rng(seed)))
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """The hidden-layer activation, applied in place."""
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return np.tanh(z, out=z)
 
 
 def _pairwise_row_sums(cols: np.ndarray, lo: int, n: int) -> np.ndarray:
@@ -178,28 +173,40 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def stacked_forward(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of k same-spec models on shared rows in one pass.
+def _forward(layers, act: str, x: np.ndarray, post: list) -> np.ndarray:
+    """The one forward pass, of a stack of k same-spec models with per-layer
+    (W, b) views (k, fan_in, fan_out) and (k, fan_out): on shared rows x
+    (rows, input_dim), or on each model's own rows as a (k, rows, input_dim)
+    view. Each model's product is its own GEMM, written through the (k, rows,
+    width) view of its layer's rows-major (rows, k, width) buffer in post;
+    the bias add, activation and softmax act on the whole stack in place.
+    Returns the last buffer, the class probabilities."""
+    a, last = x, len(layers) - 1
+    for i, ((w, b), z) in enumerate(zip(layers, post)):
+        np.matmul(a, w, out=z.transpose(1, 0, 2))
+        z += b
+        if i < last and act == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif i < last:
+            np.tanh(z, out=z)
+        a = z.transpose(1, 0, 2)
+    return _softmax(post[-1])
 
-    thetas is (k, num_params) and x is (rows, input_dim); the result is
-    (k, rows, num_classes). np.matmul runs each model's product as its own
-    GEMM, so every slice equals that model's batched forward bit for bit.
-    """
-    dims = spec.layer_dims
-    a, offset, last = x, 0, len(dims) - 2
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        w = thetas[:, offset : offset + fan_in * fan_out].reshape(-1, fan_in, fan_out)
-        offset += fan_in * fan_out
-        z = a @ w + thetas[:, None, offset : offset + fan_out]
-        offset += fan_out
-        a = z if i == last else _activate(z, spec.activation)
-    return _softmax(a)
+
+def stacked_forward(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of k same-spec models on shared rows, in one
+    _forward pass over buffers allocated for this call: thetas is the
+    model-major (k, num_params) block, x is (rows, input_dim), and the result
+    is rows-major, (rows, k, num_classes). Each model's slice [:, j] equals
+    its own batched forward bit for bit."""
+    post = [np.empty((len(x), len(thetas), d)) for d in spec.layer_dims[1:]]
+    return _forward(_stack_layers(spec, thetas, 1), spec.activation, x, post)
 
 
 def forward(model: Model, x) -> np.ndarray:
-    """Class-probability vector(s) for one sample or a batch."""
+    """Class-probability vector(s) for one sample or a batch, from a one-model stacked_forward."""
     xb, single = _check_features(model.spec, x)
-    probs = stacked_forward(model.spec, model.theta[None], xb)[0]
+    probs = stacked_forward(model.spec, model.theta[None], xb)[:, 0]
     return probs[0] if single else probs
 
 
@@ -256,41 +263,30 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
 
 
 class _Batch:
-    """Rows-major buffers for one batch shape of a stack: per layer, its input
-    or output (rows, k, width), and per hidden layer its delta, each with the
-    (k, rows, width) view through which np.matmul runs one GEMM per model on
-    strided rows. post_kt holds the (k, width, rows) views of the weight
-    gradients' GEMMs. Kept across steps, so a step allocates none of them."""
+    """Rows-major (rows, k, width) buffers for one batch shape of a stack: per
+    layer, its input or output, and per hidden layer its delta. Kept across
+    steps, so a step allocates none of them."""
 
     def __init__(self, dims: tuple[int, ...], rows: int, k: int):
         self.post = [np.empty((rows, k, d)) for d in dims]
         self.delta = [np.empty((rows, k, d)) for d in dims[:-1]]  # [0] is never written
-        self.post_k = [a.transpose(1, 0, 2) for a in self.post]
-        self.post_kt = [a.transpose(1, 2, 0) for a in self.post]
-        self.delta_k = [a.transpose(1, 0, 2) for a in self.delta]
 
 
 def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float) -> np.ndarray:
-    """One forward and backward pass of a stack on the rows in buf.post[0]:
+    """_forward, then backprop, for a stack on each model's rows in buf.post[0]:
     returns the k _loss_grad() losses and writes their gradients into the
-    glayers views (_stack_layers). Bias, activation, softmax and loss gradient
-    act on the whole stack in place."""
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        np.matmul(buf.post_k[i], w, out=buf.post_k[i + 1])
-        z = buf.post[i + 1]
-        z += b
-        if i < last:
-            _activate(z, act)
-    delta, delta_k = _softmax(buf.post[-1]), buf.post_k[-1]
+    glayers views (_stack_layers). As in _forward, each model's products are
+    its own GEMMs, and the rest acts on the whole rows-major stack at once."""
+    delta = _forward(layers, act, buf.post[0].transpose(1, 0, 2), buf.post[1:])
     loss = _loss_grad(delta, labels, teacher, gamma)
-    for i in range(last, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         gw, gb = glayers[i]
-        np.matmul(buf.post_kt[i], delta_k, out=gw)
+        delta_k = delta.transpose(1, 0, 2)
+        np.matmul(buf.post[i].transpose(1, 2, 0), delta_k, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i:
-            np.matmul(delta_k, layers[i][0].transpose(0, 2, 1), out=buf.delta_k[i])
-            delta, delta_k, post = buf.delta[i], buf.delta_k[i], buf.post[i]
+            delta, post = buf.delta[i], buf.post[i]
+            np.matmul(delta_k, layers[i][0].transpose(0, 2, 1), out=delta.transpose(1, 0, 2))
             delta *= (post > 0) if act == "relu" else 1.0 - post * post
     return loss
 
@@ -342,10 +338,11 @@ def fit_many(spec: ModelSpec, features, labels, cfg: TrainConfig, seeds: list[in
     (None for KL alone) and teacher_probs, or on all rows when rows is None,
     from init when it is given. The loss is fit's.
 
-    Activations and deltas are rows-major, (rows, k, width); parameters, their
-    gradient and velocity form one layer-major vector (_stack_layers). So each
-    bias add, column sum, activation, softmax and update is one numpy call over
-    the stack, while each model's products stay its own GEMMs. Each model draws
+    Each step is inference's _forward pass, then backprop. Activations and
+    deltas are rows-major, (rows, k, width); parameters, their gradient and
+    velocity form one layer-major vector (_stack_layers). So each bias add,
+    column sum, activation, softmax and update is one numpy call over the
+    stack, while each model's products stay its own GEMMs. Each model draws
     its initial weights and batch order from its own generator, so it comes out
     bit for bit as fit trains it alone.
 

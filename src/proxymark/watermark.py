@@ -219,12 +219,12 @@ def _collect(
     The source labels the window's mixtures in one forward pass, and a draw is
     a candidate when its parents' classes differ and the label is a third
     class. The proxies, stacked into one (m, P) block of parameters, judge the
-    candidates in draw order, in stacked passes of at most _PASS_ROWS
-    proxy-rows, then each complement judges those the proxies kept. Outcomes
-    are consumed in draw order: the build stops at n accepted or
-    max_candidates consumed, and fails after 10 * max_candidates draws in a
-    row that are not candidates. Draws past the stop are never consumed, so
-    the window size does not change the set.
+    candidates in draw order, in stacked_forward passes of at most _PASS_ROWS
+    proxy-rows, whose labels are rows-major, (candidates, m); each complement
+    then judges those the proxies kept. Outcomes are consumed in draw order:
+    the build stops at n accepted or max_candidates consumed, and fails after
+    10 * max_candidates draws in a row that are not candidates. Draws past the
+    stop are never consumed, so the window size does not change the set.
 
     Labels are argmaxes of forward passes over many rows at once. numpy runs
     a pass of two rows or more as a GEMM whose rows equal a 1-row pass's in
@@ -257,7 +257,7 @@ def _collect(
         for start in range(0, third.size, step):
             rows = third[start : start + step]
             preds = np.argmax(stacked_forward(model.spec, thetas, xs[rows]), axis=-1)
-            agreed = np.all(preds == ys[rows], axis=0)
+            agreed = np.all(preds == ys[rows, None], axis=1)
             ok = agreed.copy()
             for comp in complements:
                 ok[ok] = predict(comp, xs[rows[ok]]) != ys[rows[ok]]

@@ -122,6 +122,15 @@ class TestPrune:
         with pytest.raises(InputError, match="expected feature dimension 2"):
             atk.prune(source, wide, 0.5)
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.99])
+    def test_a_model_without_hidden_layers_is_left_whole(self, setting, ratio):
+        data, _, _ = setting
+        spec = pm.ModelSpec(2, (), 4)
+        source = pm.Model(spec, np.random.default_rng(6).normal(size=spec.num_params))
+        assert atk.neuron_activity(source, data) == []
+        result = atk.prune(source, data, ratio)[0]
+        assert result.surrogate.theta.tobytes() == source.theta.tobytes()
+
     def test_activity_uses_calibration_data(self, setting):
         data, spec, source = setting
         acts = atk.neuron_activity(source, data)

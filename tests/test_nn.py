@@ -1,5 +1,6 @@
 """Network forward/backward passes, training loop, and checkpoint format."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from proxymark.nn import (
     fit_many,
     init_model,
     init_theta,
+    stacked_forward,
     unpack,
 )
 
@@ -118,6 +120,23 @@ class TestForward:
         probs = pm.forward(model, np.zeros(2))
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(), (8,), (32, 32)])
+    def test_stacked_slices_equal_the_reference_forward(self, activation, hidden):
+        """Every model's slice of a stacked pass is its own forward, byte for
+        byte, at stack sizes and row counts that take numpy's GEMM and
+        matrix-vector paths."""
+        rng = np.random.default_rng(8)
+        for num_classes, k, rows in itertools.product((3, 4, 10), (1, 3, 64), (1, 2, 7, 512)):
+            spec = pm.ModelSpec(5, hidden, num_classes, activation)
+            thetas = rng.normal(size=(k, spec.num_params))  # non-zero biases
+            x = rng.normal(size=(rows, 5))
+            got = stacked_forward(spec, thetas, x)
+            assert got.shape == (rows, k, num_classes)
+            for j in range(k):
+                want = _ref_forward_cached(Model(spec, thetas[j]), x)[0]
+                assert got[:, j].tobytes() == want.tobytes()
 
 
 def _numeric_gradient(model, x, targets, loss, eps=1e-6):
