@@ -1,19 +1,17 @@
 """Model stealing and watermark-removal procedures.
 
-All attacks operate on a frozen source model and return a new surrogate;
-the source parameters are never mutated.
+All attacks operate on a frozen source model and return one (surrogate,
+loss history) pair per run; the source parameters are never mutated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .nn import (Model, ModelSpec, TrainConfig, _check_features, _forward, _stack_layers, accuracy,
-                 fit_many, forward, predict, unpack)
+from .nn import (Model, ModelSpec, TrainConfig, _check_features, _forward, _stack_layers, fit_many, forward,
+                 predict, unpack)
 
 # perfbench/spans.py wraps attacks.fit; it stays importable from here, although
 # the attacks now train through fit_many.
@@ -34,42 +32,26 @@ def check_params(kind: str, gamma: float | None, prune_ratio: float | None) -> N
         raise InputError("prune_ratio must be in [0, 1)")
 
 
-@dataclass
-class AttackResult:
-    surrogate: Model
-    clean_accuracy: float
-    loss_history: list[float]
-
-
-def _run_fit(spec, data: Dataset, train: TrainConfig, seeds: list[int], labels, teacher=None, gamma=0.0,
-             init=None) -> list[AttackResult]:
-    """One surrogate per seed, trained under `train` as one stack on the same
-    data; the first that diverges fails the attack."""
-    outcomes = fit_many(spec, data.features, labels, train, seeds, teacher_probs=teacher, gamma=gamma,
-                        init=init)
-    return [AttackResult(surrogate, accuracy(data, surrogate), history) for surrogate, history in outcomes]
-
-
-def steal_soft(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig,
-               seeds: list[int]) -> list[AttackResult]:
+def steal_soft(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int]) -> list:
     """Distill against the source's probability vectors (teacher frozen)."""
-    return _run_fit(spec, data, train, seeds, None, forward(f, data.features), 1.0)
+    return fit_many(spec, data.features, None, train, seeds, teacher_probs=forward(f, data.features),
+                    gamma=1.0)
 
 
-def steal_hard(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig,
-               seeds: list[int]) -> list[AttackResult]:
+def steal_hard(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int]) -> list:
     """Train on the dataset relabeled with the source's argmax predictions."""
-    return _run_fit(spec, data, train, seeds, predict(f, data.features))
+    return fit_many(spec, data.features, predict(f, data.features), train, seeds)
 
 
 def steal_rgt(f: Model, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int],
-              gamma: float) -> list[AttackResult]:
+              gamma: float) -> list:
     """Distillation mixed with ground-truth cross-entropy, weighted by gamma.
 
     gamma=0 reduces bitwise to plain training and gamma=1 to the soft-label
     attack, because all three share the same fit_many() code path.
     """
-    return _run_fit(spec, data, train, seeds, data.labels, forward(f, data.features), gamma)
+    return fit_many(spec, data.features, data.labels, train, seeds, teacher_probs=forward(f, data.features),
+                    gamma=gamma)
 
 
 def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
@@ -81,12 +63,12 @@ def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     return [np.mean(np.abs(a[:, 0]), axis=0) for a in post[:-1]]
 
 
-def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list[AttackResult]:
+def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list:
     """Zero out the least active floor(ratio * width) neurons per hidden layer.
 
     Structural zeroing only, no retraining: a cut neuron loses its incoming
     column, bias, and outgoing row. Ties break by neuron index. Pruning draws
-    nothing, so its `repeats` runs share one result.
+    nothing, so its `repeats` runs share one surrogate and an empty history.
     """
     check_params("prune", None, ratio)
     theta = f.theta.copy()
@@ -99,20 +81,19 @@ def prune(f: Model, data: Dataset, ratio: float, repeats: int = 1) -> list[Attac
         b_in[cut] = 0.0
         w_out, _ = layers[li + 1]
         w_out[cut, :] = 0.0
-    surrogate = Model(f.spec, theta)
-    return [AttackResult(surrogate, accuracy(data, surrogate), [])] * repeats
+    return [(Model(f.spec, theta), [])] * repeats
 
 
-def finetune(f: Model, data: Dataset, train: TrainConfig, seeds: list[int]) -> list[AttackResult]:
+def finetune(f: Model, data: Dataset, train: TrainConfig, seeds: list[int]) -> list:
     """Continue cross-entropy training of copies of the source."""
-    return _run_fit(f.spec, data, train, seeds, data.labels, init=f.theta)
+    return fit_many(f.spec, data.features, data.labels, train, seeds, init=f.theta)
 
 
 def run_attack(f: Model, kind: str, spec: ModelSpec, data: Dataset, train: TrainConfig, seeds: list[int],
-               gamma: float | None = None, prune_ratio: float | None = None) -> list[AttackResult]:
+               gamma: float | None = None, prune_ratio: float | None = None) -> list:
     """Run attack `kind` under `train` once per seed, as one stack, and return
-    one result per run. The names resolve at each call, so a wrapper set on
-    this module sees it."""
+    one (surrogate, loss history) pair per run. The names resolve at each
+    call, so a wrapper set on this module sees it."""
     check_params(kind, gamma, prune_ratio)
     match kind:
         case "soft_label":

@@ -99,8 +99,8 @@ def cmd_watermark(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg, outdir = _load(args)
-    for _, _, path, result in run_attacks(cfg, setup(cfg), outdir):
-        print(f"{path.stem}: clean accuracy {result.clean_accuracy:.4f}")
+    for _, _, path, _, clean in run_attacks(cfg, setup(cfg), outdir):
+        print(f"{path.stem}: clean accuracy {clean:.4f}")
     return EXIT_OK
 
 

@@ -274,21 +274,22 @@ def _attack_runs(cfg: ExperimentConfig, s: Setup) -> list[tuple[AttackBlock, lis
     return runs
 
 
-def _save_surrogates(runs: list, results, ckpt_dir: Path):
+def _save_surrogates(runs: list, results, ckpt_dir: Path, train_data: Dataset):
+    """Save each run's surrogate and yield it with its accuracy on the attack's training data."""
     for (block, seeds, names, _), block_results in zip(runs, results):
-        for seed, name, result in zip(seeds, names, block_results):
+        for seed, name, (surrogate, _) in zip(seeds, names, block_results):
             path = ckpt_dir / name
-            save_checkpoint(result.surrogate, path)
-            yield block, seed, path, result
+            save_checkpoint(surrogate, path)
+            yield block, seed, path, surrogate, accuracy(train_data, surrogate)
 
 
 def run_attacks(cfg: ExperimentConfig, s: Setup, ckpt_dir: Path):
     """Run every configured attack `repeats` times (seed tags 2, ai, k), each
     block as one stack over the process's CPUs, save each surrogate as
     `surrogate_<kind>_<ai>_<k>.ckpt` and yield (block, seed, checkpoint path,
-    result), in that order."""
+    surrogate, clean accuracy on the training split), in that order."""
     runs = _attack_runs(cfg, s)
-    yield from _save_surrogates(runs, _fan_out([call for *_, call in runs]), ckpt_dir)
+    yield from _save_surrogates(runs, _fan_out([call for *_, call in runs]), ckpt_dir, s.train_data)
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) -> ExperimentReport:
@@ -317,34 +318,33 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
 
     p_hat = clopper_pearson_lower(cfg.ball.m, cfg.ball.m, cfg.ball.alpha)
 
-    independents: list[tuple[int, Model]] = []  # (seed, model)
+    independents: list[tuple[int, Model, float]] = []  # (seed, model, trigger accuracy)
     for k, (seed, g) in enumerate(zip(independent_seeds, next(results) if independent_seeds else ())):
-        independents.append((seed, g))
         save_checkpoint(g, ckpt_dir / f"independent_{k}.ckpt")
+        independents.append((seed, g, trigger_accuracy(trigger_set, g)))
 
     if independents:
-        baseline = float(np.mean([trigger_accuracy(trigger_set, g) for _, g in independents]))
+        baseline = float(np.mean([tacc for *_, tacc in independents]))
         baseline_kind = "independent-models"
     else:
         baseline = 1.0 / s.spec.num_classes
         baseline_kind = "chance"
 
-    def row(role: str, attack: str, seed: int, model: Model) -> ReportRow:
-        tacc = trigger_accuracy(trigger_set, model)
+    def row(role: str, attack: str, seed: int, model: Model, tacc: float) -> ReportRow:
         try:
             verdict = ownership_verdict(tacc, baseline, p_hat)[0].value
         except DegenerateRuleError:
             verdict = "degenerate"
         return ReportRow(role, attack, seed, accuracy(s.data, model), tacc, verdict)
 
-    rows = [row("source", "-", s.train_cfg.seed, s.source)]
+    rows = [row("source", "-", s.train_cfg.seed, s.source, trigger_accuracy(trigger_set, s.source))]
     prune_curve: list[tuple[float, float, float]] = []
-    for block, seed, path, result in _save_surrogates(attacks, results, ckpt_dir):
-        rows.append(row("surrogate", block.kind, seed, result.surrogate))
-        _write_attack_manifest(path.with_suffix(".json"), block, seed, result)
+    for block, seed, path, surrogate, clean in _save_surrogates(attacks, results, ckpt_dir, s.train_data):
+        rows.append(row("surrogate", block.kind, seed, surrogate, trigger_accuracy(trigger_set, surrogate)))
+        _write_attack_manifest(path.with_suffix(".json"), block, seed, clean)
         if block.kind == "prune":
             prune_curve.append((block.prune_ratio, rows[-1].clean_acc, rows[-1].trigger_acc))
-    rows += [row("independent", "-", seed, g) for seed, g in independents]
+    rows += [row("independent", "-", seed, g, tacc) for seed, g, tacc in independents]
 
     report = ExperimentReport(
         rows=rows,
@@ -365,12 +365,12 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None) 
     return report
 
 
-def _write_attack_manifest(path: Path, block: AttackBlock, seed: int, result: atk.AttackResult) -> None:
+def _write_attack_manifest(path: Path, block: AttackBlock, seed: int, clean_accuracy: float) -> None:
     manifest = {
         "kind": block.kind,
         "hyperparameters": {k: v for k, v in _given(block).items() if k != "kind"},
         "seed": seed,
-        "clean_accuracy": result.clean_accuracy,
+        "clean_accuracy": clean_accuracy,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
 

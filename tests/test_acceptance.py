@@ -22,7 +22,7 @@ from proxymark.config import parse_config
 from proxymark.errors import DegenerateRuleError
 from proxymark.harness import (Setup, build_trigger_set, derive_seed, run_attacks, run_experiment, setup,
                                train_independent)
-from proxymark.nn import init_model
+from proxymark.nn import fit_many, init_model
 from proxymark.stats import Verdict
 from proxymark.watermark import ProxyBall, VerifyConfig, build_proxies, relative_delta
 
@@ -86,15 +86,17 @@ def separation_runs():
     for seed in SEEDS:
         _, s, trigger_set = _built(SEPARATION, seed)
         query = pm.make_blobs(K, dim, 300, 3.5, seed=derive_seed(seed, 77))
-        (stolen,) = atk.steal_soft(s.source, s.spec, query, s.train_cfg, [derive_seed(seed, 2, 0, 0)])
-        surrogate = stolen.surrogate
+        ((surrogate, _),) = atk.steal_soft(s.source, s.spec, query, s.train_cfg, [derive_seed(seed, 2, 0, 0)])
 
-        ind_per_class = max(s.train_data.n // (2 * K), 1)  # half-size fresh draws
-        ind_accs = []
-        for k in range(4):
-            ind_data = pm.make_blobs(K, dim, ind_per_class, spread, seed=derive_seed(seed, 3, k))
-            g = pm.train(s.spec, ind_data, replace(s.train_cfg, seed=derive_seed(seed, 3, k, 1)))
-            ind_accs.append(pm.trigger_accuracy(trigger_set, g))
+        # half-size fresh draws, laid end to end: one stack, each model on its own draw's rows
+        ind_per_class = max(s.train_data.n // (2 * K), 1)
+        draws = [pm.make_blobs(K, dim, ind_per_class, spread, seed=derive_seed(seed, 3, k)) for k in range(4)]
+        n = draws[0].n
+        independents = fit_many(s.spec, np.concatenate([d.features for d in draws]),
+                                np.concatenate([d.labels for d in draws]), s.train_cfg,
+                                [derive_seed(seed, 3, k, 1) for k in range(4)],
+                                rows=[np.arange(k * n, (k + 1) * n) for k in range(4)])
+        ind_accs = [pm.trigger_accuracy(trigger_set, g) for g, _ in independents]
         runs.append(SeparationRun(s, trigger_set, pm.trigger_accuracy(trigger_set, surrogate), ind_accs))
     return runs
 
@@ -282,13 +284,13 @@ def test_criterion_08_degenerate_gamma_equivalence():
     source = pm.train(spec, train_data, pm.TrainConfig(epochs=40, seed=9))
     shared = pm.TrainConfig(epochs=40, seed=10)
 
-    (rgt0,) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 0.0)
+    ((rgt0, _),) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 0.0)
     plain = pm.train(spec, train_data, shared)
-    (rgt1,) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 1.0)
-    (soft,) = atk.steal_soft(source, spec, train_data, shared, [shared.seed])
+    ((rgt1, _),) = atk.steal_rgt(source, spec, train_data, shared, [shared.seed], 1.0)
+    ((soft, _),) = atk.steal_soft(source, spec, train_data, shared, [shared.seed])
     elapsed = time.monotonic() - start
-    eq0 = np.array_equal(rgt0.surrogate.theta, plain.theta)
-    eq1 = np.array_equal(rgt1.surrogate.theta, soft.surrogate.theta)
+    eq0 = np.array_equal(rgt0.theta, plain.theta)
+    eq1 = np.array_equal(rgt1.theta, soft.theta)
     ok = eq0 and eq1 and elapsed < 60
     _report(
         8, "degenerate-gamma equivalence", ok,
@@ -309,9 +311,8 @@ def test_criterion_09_pruning_trend(separation_runs, tmp_path):
         gen = cfg.dataset.generator
         eval_data = pm.make_blobs(gen.classes, gen.dim, 250, gen.spread, seed=derive_seed(seed, 88))
         ratios, curve = [], []
-        for block, _, _, result in run_attacks(cfg, s, tmp_path):
+        for block, _, _, pruned, _ in run_attacks(cfg, s, tmp_path):
             ratios.append(block.prune_ratio)
-            pruned = result.surrogate
             curve.append((pm.accuracy(eval_data, pruned), pm.trigger_accuracy(trigger_set, pruned)))
         clean = [c for c, _ in curve]
         non_increasing = all(clean[i + 1] <= clean[i] + 0.01 for i in range(len(clean) - 1))
@@ -330,8 +331,8 @@ def test_criterion_10_finetune_retention(separation_runs):
     for seed, run in zip(SEEDS, separation_runs):
         baseline = float(np.mean(run.independent_accs))
         ft_train = replace(run.s.train_cfg, epochs=100, learning_rate=0.01)
-        (tuned,) = atk.finetune(run.s.source, run.s.train_data, ft_train, [derive_seed(seed, 2, 4, 0)])
-        retained = pm.trigger_accuracy(run.trigger_set, tuned.surrogate)
+        ((tuned, _),) = atk.finetune(run.s.source, run.s.train_data, ft_train, [derive_seed(seed, 2, 4, 0)])
+        retained = pm.trigger_accuracy(run.trigger_set, tuned)
         seeds_ok += retained > baseline
         details.append(f"s{seed}: {retained:.2f} vs {baseline:.2f}")
     ok = seeds_ok >= 4

@@ -25,18 +25,18 @@ SEEDS = [TRAIN.seed]  # one run, at the seed fit() takes from TRAIN
 class TestDistillation:
     def test_soft_label_copies_source(self, setting):
         data, spec, source = setting
-        result = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
-        agree = np.mean(pm.predict(result.surrogate, data.features) == pm.predict(source, data.features))
+        surrogate, history = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
+        agree = np.mean(pm.predict(surrogate, data.features) == pm.predict(source, data.features))
         assert agree > 0.9
-        assert result.clean_accuracy > 0.8
-        assert len(result.loss_history) == 40
+        assert pm.accuracy(data, surrogate) > 0.8
+        assert len(history) == 40
 
     def test_hard_label_trains_on_source_predictions(self, setting):
         data, spec, source = setting
-        result = atk.steal_hard(source, spec, data, TRAIN, SEEDS)[0]
+        got = atk.steal_hard(source, spec, data, TRAIN, SEEDS)
         want, history = fit(spec, data.features, pm.predict(source, data.features), TRAIN)
-        assert result.surrogate.theta.tobytes() == want.theta.tobytes()
-        assert result.loss_history == history
+        assert len(got) == 1 and got[0][1] == history
+        assert got[0][0].theta.tobytes() == want.theta.tobytes()
 
     def test_source_never_mutated(self, setting):
         data, spec, source = setting
@@ -51,8 +51,8 @@ class TestDistillation:
     def test_cross_architecture_surrogate(self, setting):
         data, _, source = setting
         other = pm.ModelSpec(2, (8, 8), 4)
-        result = atk.steal_soft(source, other, data, TRAIN, SEEDS)[0]
-        assert result.surrogate.spec == other
+        surrogate, _ = atk.steal_soft(source, other, data, TRAIN, SEEDS)[0]
+        assert surrogate.spec == other
 
     def test_dimension_mismatch_rejected(self, setting):
         data, _, source = setting
@@ -64,30 +64,30 @@ class TestDistillation:
 class TestDegenerateGamma:
     def test_gamma_zero_bitwise_equals_plain_training(self, setting):
         data, spec, source = setting
-        result = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 0.0)[0]
+        surrogate, _ = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 0.0)[0]
         plain, _ = fit(spec, data.features, data.labels, TRAIN)
-        assert np.array_equal(result.surrogate.theta, plain.theta)
+        assert np.array_equal(surrogate.theta, plain.theta)
 
     def test_gamma_one_bitwise_equals_soft_label(self, setting):
         data, spec, source = setting
-        rgt = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 1.0)[0]
-        soft = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
-        assert np.array_equal(rgt.surrogate.theta, soft.surrogate.theta)
+        rgt, _ = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 1.0)[0]
+        soft, _ = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
+        assert np.array_equal(rgt.theta, soft.theta)
 
     def test_interior_gamma_differs_from_both(self, setting):
         data, spec, source = setting
-        mid = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 0.5)[0]
-        soft = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
+        mid, _ = atk.steal_rgt(source, spec, data, TRAIN, SEEDS, 0.5)[0]
+        soft, _ = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
         plain, _ = fit(spec, data.features, data.labels, TRAIN)
-        assert not np.array_equal(mid.surrogate.theta, soft.surrogate.theta)
-        assert not np.array_equal(mid.surrogate.theta, plain.theta)
+        assert not np.array_equal(mid.theta, soft.theta)
+        assert not np.array_equal(mid.theta, plain.theta)
 
 
 class TestPrune:
     def test_structural_zeroing(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, data, 0.5)[0]
-        layers = unpack(spec, result.surrogate.theta)
+        pruned, _ = atk.prune(source, data, 0.5)[0]
+        layers = unpack(spec, pruned.theta)
         activities = atk.neuron_activity(source, data)
         cut = np.argsort(activities[0], kind="stable")[: int(0.5 * 16)]
         w_in, b_in = layers[0]
@@ -100,14 +100,14 @@ class TestPrune:
 
     def test_ratio_zero_is_identity(self, setting):
         data, spec, source = setting
-        result = atk.prune(source, data, 0.0)[0]
-        assert np.array_equal(result.surrogate.theta, source.theta)
+        pruned, _ = atk.prune(source, data, 0.0)[0]
+        assert np.array_equal(pruned.theta, source.theta)
 
     def test_count_is_floor_of_ratio_times_width(self, setting):
         data, spec, source = setting
         # ratio 0.49 on width 16 cuts floor(7.84) = 7 neurons
-        result = atk.prune(source, data, 0.49)[0]
-        w_in = unpack(spec, result.surrogate.theta)[0][0]
+        pruned, _ = atk.prune(source, data, 0.49)[0]
+        w_in = unpack(spec, pruned.theta)[0][0]
         assert np.sum(np.all(w_in == 0.0, axis=0)) == 7
 
     def test_ratio_checked(self, setting):
@@ -128,8 +128,8 @@ class TestPrune:
         spec = pm.ModelSpec(2, (), 4)
         source = pm.Model(spec, np.random.default_rng(6).normal(size=spec.num_params))
         assert atk.neuron_activity(source, data) == []
-        result = atk.prune(source, data, ratio)[0]
-        assert result.surrogate.theta.tobytes() == source.theta.tobytes()
+        pruned, _ = atk.prune(source, data, ratio)[0]
+        assert pruned.theta.tobytes() == source.theta.tobytes()
 
     def test_activity_uses_calibration_data(self, setting):
         data, spec, source = setting
@@ -143,29 +143,29 @@ class TestFinetune:
     def test_starts_from_source_weights(self, setting):
         data, spec, source = setting
         still = pm.TrainConfig(epochs=1, learning_rate=0.0, weight_decay=0.0, seed=50)
-        result = atk.finetune(source, data, still, SEEDS)[0]
-        assert np.array_equal(result.surrogate.theta, source.theta)
+        tuned, _ = atk.finetune(source, data, still, SEEDS)[0]
+        assert np.array_equal(tuned.theta, source.theta)
 
     def test_moves_weights_with_positive_lr(self, setting):
         data, spec, source = setting
-        result = atk.finetune(source, data, TRAIN, SEEDS)[0]
-        assert not np.array_equal(result.surrogate.theta, source.theta)
-        assert result.clean_accuracy > 0.8
+        tuned, _ = atk.finetune(source, data, TRAIN, SEEDS)[0]
+        assert not np.array_equal(tuned.theta, source.theta)
+        assert pm.accuracy(data, tuned) > 0.8
 
 
 class TestRunAttack:
     def test_dispatch_matches_direct_calls(self, setting):
         data, spec, source = setting
-        direct = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
-        routed = atk.run_attack(source, "soft_label", spec, data, TRAIN, SEEDS)[0]
-        assert np.array_equal(direct.surrogate.theta, routed.surrogate.theta)
+        direct, _ = atk.steal_soft(source, spec, data, TRAIN, SEEDS)[0]
+        routed, _ = atk.run_attack(source, "soft_label", spec, data, TRAIN, SEEDS)[0]
+        assert np.array_equal(direct.theta, routed.theta)
 
     def test_all_kinds_covered(self, setting):
         data, spec, source = setting
         kw = {"rgt": {"gamma": 0.5}, "prune": {"prune_ratio": 0.25}}
         for kind in atk.ATTACK_KINDS:
-            (result,) = atk.run_attack(source, kind, spec, data, TRAIN, SEEDS, **kw.get(kind, {}))
-            assert result.surrogate.spec == spec
+            ((surrogate, _),) = atk.run_attack(source, kind, spec, data, TRAIN, SEEDS, **kw.get(kind, {}))
+            assert surrogate.spec == spec
 
     @pytest.mark.parametrize(
         "kind, kw, message",

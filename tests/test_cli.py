@@ -19,6 +19,8 @@ from conftest import DIVERGED, written_files
 import proxymark as pm
 from proxymark import cli
 from proxymark.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, build_parser, main
+from proxymark.config import load_config
+from proxymark.harness import build_dataset, derive_seed
 from proxymark.nn import init_model
 
 YAML = """
@@ -97,11 +99,15 @@ class TestExitCodes:
             ("holdout_fraction: 0.5", "holdout_fraction: 1.0"),
             ("spread: 0.6", "spread: -1.0"),
             ("classes: 4", "classes: 2"),
+            ("seed: 9", None),  # --config names a missing file
         ],
     )
     def test_bad_config_value_is_2(self, config_file, capsys, old, new):
         path, out = config_file
-        path.write_text(path.read_text().replace(old, new))
+        if new is None:
+            path.unlink()
+        else:
+            path.write_text(path.read_text().replace(old, new))
         assert main(["attack", "--config", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()  # rejected at load, before anything is written
@@ -303,6 +309,37 @@ class TestSubcommands:
         path, out = config_file
         assert main(["attack", "--config", str(path)]) == EXIT_OK
         assert (out / "surrogate_soft_label_0_0.ckpt").exists()
+
+    def test_clean_accuracies_are_read_on_their_own_data(self, config_file, tmp_path, capsys):
+        # a surrogate manifest's clean_accuracy, and `attack`'s printout, are on
+        # the attack's training split; report.csv's clean_acc is on the whole
+        # dataset. Blobs that overlap tell the two apart.
+        path, out = config_file
+        text = path.read_text().replace("repeats: 1", "repeats: 2").replace("spread: 0.6", "spread: 1.5")
+        path.write_text(text.replace("  - {kind: soft_label}", "  - {kind: soft_label}\n"
+                                     "  - {kind: prune, prune_ratio: 0.5}\n  - {kind: finetune}"))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        cfg = load_config(path)
+        data = build_dataset(cfg)
+        train_data, _ = pm.split(data, pm.SplitSpec(cfg.dataset.holdout_fraction, derive_seed(cfg.seed, 11)))
+        report = {}  # (attack, seed) -> clean_acc
+        for line in (out / "report.csv").read_text().splitlines()[1:]:
+            _, attack, seed, clean_acc, *_ = line.split(",")
+            report[attack, int(seed)] = float(clean_acc)
+        manifests = sorted((out / "checkpoints").glob("surrogate_*.json"))
+        assert len(manifests) == 6
+        printed, differ = [], 0
+        for manifest in manifests:
+            surrogate = pm.load_checkpoint(manifest.with_suffix(".ckpt"))
+            fields = json.loads(manifest.read_text())
+            assert fields["clean_accuracy"] == pm.accuracy(train_data, surrogate)
+            assert report[fields["kind"], fields["seed"]] == pm.accuracy(data, surrogate)
+            differ += fields["clean_accuracy"] != report[fields["kind"], fields["seed"]]
+            printed.append(f"{manifest.stem}: clean accuracy {fields['clean_accuracy']:.4f}")
+        assert differ == len(manifests)
+        capsys.readouterr()
+        assert main(["attack", "--config", str(path), "--out", str(tmp_path / "attack")]) == EXIT_OK
+        assert sorted(capsys.readouterr().out.splitlines()) == printed
 
     def test_integrity_reports_rates(self, config_file, capsys):
         path, out = config_file

@@ -1,6 +1,7 @@
 """Network forward/backward passes, training loop, and checkpoint format."""
 
 import itertools
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from proxymark.nn import (
     PROB_FLOOR,
     Model,
     _check_features,
+    _pairwise_row_sums,
     checkpoint_bytes,
     fingerprint,
     fit,
@@ -107,10 +109,33 @@ class TestForward:
         model = pm.Model(spec, np.zeros(spec.num_params))
         assert pm.predict(model, np.ones(2)) == 0
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "call, features, message",
+        [(pm.forward, np.zeros(4), "expected feature dimension 3"),
+         (pm.forward, [[0.0, np.nan, 0.0]], "features contain non-finite entries"),
+         (lambda model, x: fit_many(model.spec, x, np.zeros(len(x), dtype=int), pm.TrainConfig(), [0]),
+          [[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]], "features contain non-finite entries"),
+         (lambda model, x: fit_many(model.spec, x, np.zeros(0, dtype=int), pm.TrainConfig(), [0]),
+          np.zeros((0, 3)), "training data must be non-empty")],
+        ids=["dimension", "nan-forward", "inf-fit_many", "no-rows-fit_many"],
+    )
+    def test_bad_features_rejected(self, call, features, message):
         model = init_model(pm.ModelSpec(3, (4,), 3), 0)
-        with pytest.raises(InputError):
-            pm.forward(model, np.zeros(4))
+        with pytest.raises(InputError, match=message):
+            call(model, features)
+
+    @pytest.mark.parametrize("width", [16, 17, 128, 129, 257, 1000])
+    def test_pairwise_row_sums_equal_numpy(self, width):
+        # past 8 columns the sum runs 8 accumulators over blocks of 8, and past
+        # 128 it splits in two, as numpy's pairwise sum does; magnitudes that
+        # span orders make a sum in any other order round differently
+        rows = np.random.default_rng(width).lognormal(sigma=4.0, size=(200, width))
+        want = rows.sum(axis=1)
+        assert _pairwise_row_sums(np.asfortranarray(rows), 0, width).tobytes() == want.tobytes()
+        in_order = rows[:, 0].copy()
+        for i in range(1, width):
+            in_order += rows[:, i]
+        assert in_order.tobytes() != want.tobytes()
 
     def test_softmax_stable_for_large_logits(self):
         spec = pm.ModelSpec(2, (), 3)
@@ -692,17 +717,20 @@ class TestCheckpoint:
         assert loaded.spec == model.spec
         assert np.array_equal(loaded.theta, model.theta)
 
-    def test_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda blob: b"XXXX" + blob[4:], "bad magic"),
+         (lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:], "unsupported version 99"),
+         (lambda blob: blob[:14], "truncated header"),  # ends inside the hidden-layer count
+         (lambda blob: blob[:24] + struct.pack("<I", 7) + blob[28:], "unknown activation code 7"),
+         (lambda blob: blob[:-8], "expected 928 payload bytes, got 920")],
+        ids=["magic", "version", "truncated-header", "activation", "truncated-payload"],
+    )
+    def test_malformed_checkpoint_rejected(self, trained_source, tmp_path, edit, message):
+        # trained_source is 2-(16)-4: a 28-byte header, the activation code last
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"XXXX" + b"\0" * 64)
-        with pytest.raises(CheckpointFormatError):
-            pm.load_checkpoint(path)
-
-    def test_truncated_payload_rejected(self, trained_source, tmp_path):
-        blob = checkpoint_bytes(trained_source)
-        path = tmp_path / "short.ckpt"
-        path.write_bytes(blob[:-8])
-        with pytest.raises(CheckpointFormatError):
+        path.write_bytes(edit(checkpoint_bytes(trained_source)))
+        with pytest.raises(CheckpointFormatError, match=message):
             pm.load_checkpoint(path)
 
     def test_fingerprint_tracks_weights(self, trained_source):
