@@ -7,6 +7,7 @@ export -> load is an exact round-trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,9 @@ def load_csv(path) -> Dataset:
             row = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise DatasetParseError(f"non-numeric cell: {exc}", line=lineno) from exc
+        bad = [c for c, v in zip(cells[1:], row) if not math.isfinite(v)]
+        if bad:
+            raise DatasetParseError(f"non-finite cell {bad[0]!r}", line=lineno)
         if y < 1:
             raise DatasetParseError(f"label {y} must be >= 1", line=lineno)
         labels.append(y - 1)

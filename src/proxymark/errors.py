@@ -10,7 +10,8 @@ class InputError(ProxymarkError, ValueError):
 
 
 class TrainingDivergedError(ProxymarkError):
-    """Loss became NaN/Inf during an optimization run."""
+    """A trained stack's largest |parameter| exceeds 1 / PROB_FLOOR (NaN and inf
+    included), checked once, after the last step."""
 
 
 class DatasetParseError(ProxymarkError):

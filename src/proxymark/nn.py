@@ -479,14 +479,16 @@ def load_checkpoint(path) -> Model:
         raise CheckpointFormatError(f"{path}: truncated header") from exc
     if act_code >= len(ACTIVATIONS):
         raise CheckpointFormatError(f"{path}: unknown activation code {act_code}")
-    spec = ModelSpec(input_dim, widths, num_classes, ACTIVATIONS[act_code])
-    payload = blob[off:]
-    if len(payload) != 8 * spec.num_params:
-        raise CheckpointFormatError(
-            f"{path}: expected {8 * spec.num_params} payload bytes, got {len(payload)}"
-        )
-    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return Model(spec, theta)
+    try:
+        spec = ModelSpec(input_dim, widths, num_classes, ACTIVATIONS[act_code])
+        payload = blob[off:]
+        if len(payload) != 8 * spec.num_params:
+            raise CheckpointFormatError(
+                f"{path}: expected {8 * spec.num_params} payload bytes, got {len(payload)}"
+            )
+        return Model(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    except InputError as exc:  # a header the spec rejects, or a non-finite weight
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
 
 
 def fingerprint(model: Model) -> str:

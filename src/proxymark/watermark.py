@@ -27,20 +27,21 @@ from .stats import ALPHA
 
 LAMBDA_MARGIN = 1e-6  # keep the mixing weight strictly interior
 _REJECTION_CAP = 1000  # consecutive proxy rejections under tau < 1
-# One pass-row budget bounds every forward pass: the source labels
-# _PASS_ROWS // _DRAW_BLOCK blocks of draws at once, and the proxies judge
-# _PASS_ROWS // m candidates at once. At the default 32-wide hidden layers a
-# 512-row pass holds arrays of 512 x 32 float64, 128 KiB, which stay in cache.
-# At m=64, n=200 a build then makes about 49 forward passes, where a budget
-# of one 64-draw block per source pass and 128 proxy-rows per proxy pass made
-# 257, and the draw-and-judge loop fell from 17.9 ms to 8.5 ms (medians of 60
-# builds, 2-core x86, one BLAS thread); a 1024-row budget was no faster. The
-# budget sets how far a build draws and judges ahead, not what it consumes,
-# so it does not change a set. A block's pairs and weights come from one
-# numpy call each, so a trigger set depends on the seed and on _DRAW_BLOCK:
-# changing it changes every set.
+# One pass-row budget bounds every forward pass: the source labels the
+# different-class draws of _PASS_ROWS // _DRAW_BLOCK blocks at once, and the
+# proxies judge _PASS_ROWS // m candidates at once. A pass's cost grows
+# slowly with its rows (at m=64, about 135 us for 8 candidates and 215 us
+# for 16), so the number of passes is what counts. At m=64, n=200 a 1024-row
+# budget makes about 7 source and 17 proxy passes, where 512 rows made 14 and
+# 34, and a build plus save fell from 15.7 ms to 13.1 ms (the draw-and-judge
+# loop from 10.0 ms to 8.4 ms; medians of 60 builds, 2-core x86, one BLAS
+# thread). At the default 32-wide hidden layers a 1024-row pass holds arrays
+# of 1024 x 32 float64, 256 KiB. The budget sets how far a build draws and
+# judges ahead, not what it consumes, so it does not change a set. A block's
+# pairs and weights come from one numpy call each, so a trigger set depends
+# on the seed and on _DRAW_BLOCK: changing it changes every set.
 _DRAW_BLOCK = 64  # pair draws per rng.integers / rng.uniform call
-_PASS_ROWS = 512  # rows per source pass, or proxy-rows (m x candidates) per proxy pass
+_PASS_ROWS = 1024  # rows per source pass, or proxy-rows (m x candidates) per proxy pass
 
 TRIGGER_FILE_VERSION = 1
 
@@ -177,8 +178,9 @@ def trigger_candidate(
     )
 
 
-def sample_proxy(ball: ProxyBall, rng: np.random.Generator) -> Model:
-    """Gaussian weight perturbation clipped to the ball radius.
+def _draw_proxy(ball: ProxyBall, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write one proxy's parameters into out: a Gaussian weight perturbation
+    clipped to the ball radius, added to the source's.
 
     The noise direction is preserved: draws with norm above delta are rescaled
     to exactly delta. Under tau < 1, rejection-sample on the accuracy gap.
@@ -190,19 +192,31 @@ def sample_proxy(ball: ProxyBall, rng: np.random.Generator) -> Model:
         norm = np.linalg.norm(delta_vec)
         if norm > ball.delta:
             delta_vec *= ball.delta / norm if norm > 0 else 0.0
-        proxy = Model(source.spec, source.theta + delta_vec)
+        np.add(source.theta, delta_vec, out=out)
         if ball.tau >= 1.0:
-            return proxy
-        if abs(accuracy(ball.reference_data, proxy) - base_acc) <= ball.tau:
-            return proxy
+            return out
+        if abs(accuracy(ball.reference_data, Model(source.spec, out)) - base_acc) <= ball.tau:
+            return out
     raise BallTooTightError(
         f"{_REJECTION_CAP} consecutive proxies violated the tau={ball.tau} accuracy gap"
     )
 
 
-def build_proxies(ball: ProxyBall, cfg: VerifyConfig) -> list[Model]:
-    """The frozen proxy list for a verification run; reconstructible from seeds."""
-    return [sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i])) for i in range(cfg.m)]
+def sample_proxy(ball: ProxyBall, rng: np.random.Generator) -> Model:
+    """One proxy model drawn from the ball (see _draw_proxy)."""
+    return Model(ball.source.spec, _draw_proxy(ball, rng, np.empty(ball.source.theta.size)))
+
+
+def build_proxies(ball: ProxyBall, cfg: VerifyConfig) -> np.ndarray:
+    """The frozen proxies of a verification run as one model-major (m, P)
+    block, proxy i drawn into row i from seed [cfg.seed, 1, i]; row i equals
+    sample_proxy's draw on that seed bit for bit."""
+    thetas = np.empty((cfg.m, ball.source.theta.size))
+    for i, row in enumerate(thetas):
+        _draw_proxy(ball, np.random.default_rng([cfg.seed, 1, i]), row)
+    if not np.all(np.isfinite(thetas)):
+        raise InputError("proxy parameters contain non-finite entries")
+    return thetas
 
 
 def _collect(
@@ -216,15 +230,16 @@ def _collect(
 
     A window is _PASS_ROWS // _DRAW_BLOCK blocks, each one rng.integers call
     for the parent pairs, then one rng.uniform call for the mixing weights.
-    The source labels the window's mixtures in one forward pass, and a draw is
-    a candidate when its parents' classes differ and the label is a third
-    class. The proxies, stacked into one (m, P) block of parameters, judge the
-    candidates in draw order, in stacked_forward passes of at most _PASS_ROWS
-    proxy-rows, whose labels are rows-major, (candidates, m); each complement
-    then judges those the proxies kept. Outcomes are consumed in draw order:
-    the build stops at n accepted or max_candidates consumed, and fails after
-    10 * max_candidates draws in a row that are not candidates. Draws past the
-    stop are never consumed, so the window size does not change the set.
+    The source labels the window's different-class mixtures in one forward
+    pass, and such a draw is a candidate when the label is a third class. The
+    proxies, as one (m, P) block of parameters, judge the candidates in draw
+    order, in stacked_forward passes of at most _PASS_ROWS proxy-rows, whose
+    labels are rows-major, (candidates, m); each complement then judges those
+    the proxies kept. Each pass's outcomes are consumed in draw order with
+    array operations: the build stops at n accepted or max_candidates
+    consumed, and fails on reaching a candidate after 10 * max_candidates
+    draws in a row that are not candidates. Draws past the stop are never
+    consumed, so the window size does not change the set.
 
     Labels are argmaxes of forward passes over many rows at once. numpy runs
     a pass of two rows or more as a GEMM whose rows equal a 1-row pass's in
@@ -250,9 +265,15 @@ def _collect(
             pairs[b : b + _DRAW_BLOCK] = rng.integers(0, holdout.n, size=(_DRAW_BLOCK, 2))
             lam[b : b + _DRAW_BLOCK] = rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN, _DRAW_BLOCK)
         la, lb = holdout.labels[pairs.T]
+        diff = np.flatnonzero(la != lb)  # window indices of the different-class draws
+        pairs, lam, la, lb = pairs[diff], lam[diff], la[diff], lb[diff]
         xs = _mix(holdout, pairs, lam)
         ys = predict(model, xs)
-        third = np.flatnonzero((la != lb) & (ys != la) & (ys != lb))
+        third = np.flatnonzero((ys != la) & (ys != lb))
+        at = drawn + diff[third]  # the candidates' draw indices
+        # the first candidate after a run of cap misses: the build runs dry on reaching it
+        runs = np.flatnonzero(np.diff(at, prepend=last) > cap)
+        dry = runs[0] if runs.size else third.size
         done = False
         for start in range(0, third.size, step):
             rows = third[start : start + step]
@@ -261,20 +282,19 @@ def _collect(
             ok = agreed.copy()
             for comp in complements:
                 ok[ok] = predict(comp, xs[rows[ok]]) != ys[rows[ok]]
-            take = 0
-            for c, good in zip(rows.tolist(), ok.tolist()):
-                if drawn + c - last - 1 >= cap:
-                    raise NoCandidateFoundError(no_candidate)
-                last, take = drawn + c, take + 1
-                stats.candidates_consumed += 1
-                stats.accepted += good
-                done = stats.accepted == cfg.n or stats.candidates_consumed == cfg.max_candidates
-                if done:
-                    break
-            passed, accepted = int(agreed[:take].sum()), rows[:take][ok[:take]]
+            hits = np.cumsum(ok)  # this pass's acceptances through each candidate
+            take = min(rows.size, cfg.max_candidates - stats.candidates_consumed,
+                       int(np.searchsorted(hits, cfg.n - stats.accepted)) + 1)
+            if start + take > dry:
+                raise NoCandidateFoundError(no_candidate)
+            last = int(at[start + take - 1])
+            stats.candidates_consumed += take
+            stats.accepted += int(hits[take - 1])
+            done = stats.accepted == cfg.n or stats.candidates_consumed == cfg.max_candidates
+            passed, kept_rows = np.count_nonzero(agreed[:take]), rows[:take][ok[:take]]
             proxy_vetoes += take - passed
-            complement_vetoes += passed - accepted.size
-            kept.append((xs[accepted], ys[accepted], pairs[accepted], lam[accepted]))
+            complement_vetoes += passed - kept_rows.size
+            kept.append((xs[kept_rows], ys[kept_rows], pairs[kept_rows], lam[kept_rows]))
             if done:
                 break
         drawn += window
@@ -311,8 +331,7 @@ def verify_trigger_set(
                 raise InputError(
                     f"complement {k} lies inside the ball (distance {dist:.4g} <= {ball.delta:.4g})"
                 )
-    thetas = np.stack([p.theta for p in build_proxies(ball, cfg)])
-    ts = _collect(holdout, model, thetas, cfg, complements)
+    ts = _collect(holdout, model, build_proxies(ball, cfg), cfg, complements)
     ts.ball_params = ball.params() | {"m": cfg.m}
     if complements:
         ts.ball_params["complements"] = len(complements)
@@ -404,12 +423,15 @@ def load_trigger_set(path) -> TriggerSet:
         )
     if len(records) != n:
         raise TriggerSetFormatError(f"{path}: {len(records)} sample records for n={n}")
-    return TriggerSet(
-        np.frombuffer(blob, dtype="<f8").reshape(n, dim).astype(np.float64),
-        y_star - 1,
-        parents,
-        lam,
-        source_fp,
-        ball_params=ball,
-        seed=seeds.get("verify_seed"),
-    )
+    try:
+        return TriggerSet(
+            np.frombuffer(blob, dtype="<f8").reshape(n, dim).astype(np.float64),
+            y_star - 1,
+            parents,
+            lam,
+            source_fp,
+            ball_params=ball,
+            seed=seeds.get("verify_seed"),
+        )
+    except InputError as exc:  # a lambda outside (0, 1)
+        raise TriggerSetFormatError(f"{path}: {exc}") from exc

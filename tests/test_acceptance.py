@@ -189,8 +189,8 @@ def test_criterion_04_verified_set_soundness(separation_runs):
         parent_labels = holdout.labels[ts.parents]
         ok = np.all(parent_labels != ts.y_star[:, None], axis=1)
         vcfg = VerifyConfig(m=ts.ball_params["m"], n=ts.n, seed=ts.seed)
-        for p in build_proxies(_ball(ts, source), vcfg):
-            ok &= pm.predict(p, ts.xs) == ts.y_star
+        for theta in build_proxies(_ball(ts, source), vcfg):
+            ok &= pm.predict(pm.Model(source.spec, theta), ts.xs) == ts.y_star
         if not pm.recompute_and_check(ts, holdout, source):
             ok[:] = False
         checked += ts.n

@@ -163,9 +163,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "fault, code, message",
-        [("directory", EXIT_CONFIG, "config error: dataset.csv: not a file: "),
-         ("non-ascii", EXIT_EXPERIMENT, "experiment error (train): cannot read ")],
-        ids=["directory", "non-ascii"],
+        [("directory", EXIT_CONFIG, "config error: dataset.csv: not a file: {csv}"),
+         ("non-ascii", EXIT_EXPERIMENT, "experiment error (train): cannot read {csv}"),
+         ("non-finite", EXIT_EXPERIMENT, "experiment error (train): line 3: non-finite cell 'nan'")],
+        ids=["directory", "non-ascii", "non-finite"],
     )
     def test_csv_fault_is_typed(self, config_file, tmp_path, capsys, fault, code, message):
         path, out = config_file
@@ -173,10 +174,11 @@ class TestExitCodes:
         if fault == "directory":
             csv.mkdir()
         else:
-            csv.write_bytes("y,x1,x2\n1,0.5,0.5\n2,0.5,\u00b50\n".encode("utf-8"))
+            last = {"non-ascii": "2,0.5,\u00b50", "non-finite": "2,0.5,nan"}[fault]
+            csv.write_bytes(f"y,x1,x2\n1,0.5,0.5\n{last}\n".encode("utf-8"))
         path.write_text(re.sub(r"  generator: .*", f'  csv: "{csv}"', path.read_text()))
         assert main(["train", "--config", str(path)]) == code
-        assert capsys.readouterr().err.startswith(message + str(csv))
+        assert capsys.readouterr().err.startswith(message.format(csv=csv))
         assert not list(out.rglob("*.ckpt"))
 
     def test_experiment_error_is_3(self, config_file, capsys):

@@ -121,10 +121,16 @@ class TestCsv:
         assert lines[1].startswith("1,")
         assert {line.split(",")[0] for line in lines[1:]} == {"1", "2", "3"}
 
-    def test_parse_error_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2,oops,0.0", "non-numeric cell"), ("2,0.5,nan", "non-finite cell 'nan'"),
+         ("2,0.5,inf", "non-finite cell 'inf'"), ("2,-inf,0.5", "non-finite cell '-inf'")],
+        ids=["non-numeric", "nan", "inf", "-inf"],
+    )
+    def test_parse_error_reports_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text("y,x1,x2\n1,0.0,0.0\n2,oops,0.0\n")
-        with pytest.raises(DatasetParseError) as err:
+        path.write_text(f"y,x1,x2\n1,0.0,0.0\n{row}\n")
+        with pytest.raises(DatasetParseError, match=f"^line 3: {message}") as err:
             pm.load_csv(path)
         assert err.value.line == 3
 

@@ -723,15 +723,21 @@ class TestCheckpoint:
          (lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:], "unsupported version 99"),
          (lambda blob: blob[:14], "truncated header"),  # ends inside the hidden-layer count
          (lambda blob: blob[:24] + struct.pack("<I", 7) + blob[28:], "unknown activation code 7"),
-         (lambda blob: blob[:-8], "expected 928 payload bytes, got 920")],
-        ids=["magic", "version", "truncated-header", "activation", "truncated-payload"],
+         (lambda blob: blob[:-8], "expected 928 payload bytes, got 920"),
+         (lambda blob: blob[:20] + struct.pack("<I", 2) + blob[24:], "need at least 3 classes, got 2"),
+         (lambda blob: blob[:8] + struct.pack("<I", 0) + blob[12:], "input_dim must be >= 1, got 0"),
+         (lambda blob: blob[:16] + struct.pack("<I", 0) + blob[20:], "all layer widths must be >= 1"),
+         (lambda blob: blob[:28] + struct.pack("<d", np.nan) + blob[36:], "non-finite entries")],
+        ids=["magic", "version", "truncated-header", "activation", "truncated-payload",
+             "two-classes", "zero-input-dim", "zero-width", "nan-weight"],
     )
     def test_malformed_checkpoint_rejected(self, trained_source, tmp_path, edit, message):
         # trained_source is 2-(16)-4: a 28-byte header, the activation code last
         path = tmp_path / "bad.ckpt"
         path.write_bytes(edit(checkpoint_bytes(trained_source)))
-        with pytest.raises(CheckpointFormatError, match=message):
+        with pytest.raises(CheckpointFormatError, match=message) as err:
             pm.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_fingerprint_tracks_weights(self, trained_source):
         fp = fingerprint(trained_source)

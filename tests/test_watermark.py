@@ -1,5 +1,6 @@
 """Trigger candidates, proxy-ball sampling, verification, and serialization."""
 
+import itertools
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -27,6 +28,11 @@ from proxymark.watermark import (
     build_proxies,
     relative_delta,
 )
+
+
+def proxy_models(ball, cfg):
+    """The rows of build_proxies' block, each wrapped as a Model."""
+    return [pm.Model(ball.source.spec, theta) for theta in build_proxies(ball, cfg)]
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +182,27 @@ class TestProxyBall:
             dist = np.linalg.norm(proxy.theta - source.theta)
             assert dist <= delta * (1 + 1e-9)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.99])
+    def test_build_proxies_rows_are_sample_proxy_draws(self, pipeline, tau):
+        # row i of the block is sample_proxy's draw on seed [seed, 1, i], also
+        # through the accuracy-gap rejection path
+        data, _, _, source = pipeline
+        ball = ProxyBall(source, relative_delta(source, 0.05), tau=tau, reference_data=data)
+        cfg = VerifyConfig(m=5, n=1, seed=13)
+        thetas = build_proxies(ball, cfg)
+        assert thetas.shape == (cfg.m, source.spec.num_params)
+        for i, row in enumerate(thetas):
+            proxy = pm.sample_proxy(ball, np.random.default_rng([cfg.seed, 1, i]))
+            assert row.tobytes() == proxy.theta.tobytes()
+
+    def test_non_finite_proxy_block_rejected(self, pipeline):
+        # noise drawn at sigma=1e308 overflows to inf, and clipping it to the
+        # ball scales inf by 0
+        _, _, _, source = pipeline
+        ball = ProxyBall(source, 1.0, sigma=1e308)
+        with np.errstate(all="ignore"), pytest.raises(InputError, match="non-finite"):
+            build_proxies(ball, VerifyConfig(m=2, n=1))
+
     def test_tau_requires_reference(self, pipeline):
         _, _, _, source = pipeline
         with pytest.raises(InputError):
@@ -229,7 +256,7 @@ class TestVerifyTriggerSet:
         ts = pm.verify_trigger_set(holdout, source, ball, cfg)
         assert ts.n == 10
         assert pm.recompute_and_check(ts, holdout, source)
-        for p in build_proxies(ball, cfg):
+        for p in proxy_models(ball, cfg):
             assert np.array_equal(pm.predict(p, ts.xs), ts.y_star)
 
     def test_acceptance_stats(self, pipeline):
@@ -313,7 +340,7 @@ class TestIntegrityVerification:
         )
         ball = ProxyBall(source, relative_delta(source, delta))
         cfg = VerifyConfig(m=8, n=20, max_candidates=40, seed=4)
-        proxies = build_proxies(ball, cfg)
+        proxies = proxy_models(ball, cfg)
         feats, labels = holdout.features, holdout.labels
         funnel = {"draws": 0, "candidates": 0, "accepted": 0, "proxy": 0, "complement": 0}
         for (i, j), lam in block_draws(np.random.default_rng([cfg.seed, 2]), holdout.n):
@@ -459,6 +486,9 @@ class TestSerialization:
             (lambda man: man["ball"].update(m=True), "ball.m must be a positive integer"),
             (lambda man: man["ball"].update(m=0), "ball.m must be a positive integer"),
             (lambda man: man["ball"].pop("m"), "ball.m must be a positive integer, not missing"),
+            (lambda man: man["samples"][1].update({"lambda": "0"}), "lambda must be in \\(0, 1\\)"),
+            (lambda man: man["samples"][1].update({"lambda": "1.5"}), "lambda must be in \\(0, 1\\)"),
+            (lambda man: man["samples"][1].update({"lambda": "nan"}), "lambda must be in \\(0, 1\\)"),
         ]
         + [
             (lambda man, key=key: man["samples"][1].pop(key), f"KeyError: '{key}'")
@@ -474,8 +504,9 @@ class TestSerialization:
         manifest = json.loads(path.read_text())
         replaced = edit(manifest)  # a list edit replaces the manifest
         path.write_text(json.dumps(replaced if isinstance(replaced, list) else manifest))
-        with pytest.raises(TriggerSetFormatError, match=message):
+        with pytest.raises(TriggerSetFormatError, match=message) as err:
             pm.load_trigger_set(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "trigger_set.json"
@@ -590,7 +621,7 @@ class TestEngineEquivalence:
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, frac))
         cfg = VerifyConfig(m=m, n=n, max_candidates=5000, seed=seed)
-        proxies = build_proxies(ball, cfg)
+        proxies = proxy_models(ball, cfg)
         ts = pm.verify_trigger_set(holdout, source, ball, cfg)
         assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg))
         assert_scores_one(ts, source, proxies)
@@ -603,7 +634,7 @@ class TestEngineEquivalence:
         )
         ball = ProxyBall(source, relative_delta(source, 0.05))
         cfg = VerifyConfig(m=8, n=8, max_candidates=5000, seed=4)
-        proxies = build_proxies(ball, cfg)
+        proxies = proxy_models(ball, cfg)
         ts = pm.verify_trigger_set(holdout, source, ball, cfg, [complement])
         assert_same_set(ts, *reference_collect(holdout, source, proxies, cfg, [complement]))
         assert_scores_one(ts, source, proxies)
@@ -621,7 +652,7 @@ class TestEngineEquivalence:
         _, _, holdout, source = pipeline
         ball = ProxyBall(source, relative_delta(source, 0.5))
         cfg = VerifyConfig(m=16, n=10, max_candidates=30, seed=2)
-        proxies = build_proxies(ball, cfg)
+        proxies = proxy_models(ball, cfg)
         with pytest.raises(InsufficientTransferabilityError) as err:
             pm.verify_trigger_set(holdout, source, ball, cfg)
         partial = err.value.partial_set
@@ -629,6 +660,28 @@ class TestEngineEquivalence:
         assert partial.stats.candidates_consumed == cfg.max_candidates
         assert_same_set(partial, *reference_collect(holdout, source, proxies, cfg))
         assert_scores_one(partial, source, proxies)
+
+    def test_source_labels_only_different_class_draws(self, pipeline, monkeypatch):
+        # the source is asked about a window's different-class mixtures, in
+        # draw order, and about nothing else
+        _, _, holdout, source = pipeline
+        monkeypatch.setattr(watermark, "_PASS_ROWS", 128)
+        labelled = []
+
+        def spy(model, x):
+            labelled.append(np.array(x))
+            return pm.predict(model, x)
+
+        monkeypatch.setattr(watermark, "predict", spy)
+        ball = ProxyBall(source, relative_delta(source, 0.05))
+        pm.verify_trigger_set(holdout, source, ball, VerifyConfig(m=4, n=20, seed=21))
+        assert len(labelled) > 1
+        feats, labels = holdout.features, holdout.labels
+        draws = itertools.islice(block_draws(np.random.default_rng([21, 2]), holdout.n),
+                                 128 * len(labelled))
+        expected = [lam * feats[i] + (1.0 - lam) * feats[j]
+                    for (i, j), lam in draws if labels[i] != labels[j]]
+        assert np.array_equal(np.concatenate(labelled), expected)
 
     def test_same_class_pairs_never_candidates(self, pipeline):
         # a model that always says class 3 gives every mixture of classes 0-2 a
@@ -641,7 +694,7 @@ class TestEngineEquivalence:
         three_class = holdout.subset(np.flatnonzero(holdout.labels < 3))
         ball = ProxyBall(constant, relative_delta(constant, 0.05))
         cfg = VerifyConfig(m=4, n=30, seed=6)
-        proxies = build_proxies(ball, cfg)
+        proxies = proxy_models(ball, cfg)
         ts = pm.verify_trigger_set(three_class, constant, ball, cfg)
         assert_same_set(ts, *reference_collect(three_class, constant, proxies, cfg))
         assert ts.stats.candidates_consumed == 30
@@ -662,7 +715,7 @@ class TestEngineEquivalence:
         cfg = VerifyConfig(m=1, n=1, max_candidates=10, seed=seed)
         if misses < 100:
             ts = pm.verify_trigger_set(holdout, source, ball, cfg)
-            assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+            assert_same_set(ts, *reference_collect(holdout, source, proxy_models(ball, cfg), cfg))
         else:
             with pytest.raises(NoCandidateFoundError, match="found in 100 pair draws"):
                 pm.verify_trigger_set(holdout, source, ball, cfg)
@@ -680,7 +733,7 @@ class TestEngineEquivalence:
             for seed in range(40):
                 cfg = VerifyConfig(m=4, n=2, max_candidates=max_candidates, seed=seed)
                 try:
-                    expected = reference_collect(holdout, source, build_proxies(ball, cfg), cfg)
+                    expected = reference_collect(holdout, source, proxy_models(ball, cfg), cfg)
                 except NoCandidateFoundError as err:
                     expected = str(err)
                 try:
@@ -723,7 +776,7 @@ class TestEngineEquivalence:
         cfg = VerifyConfig(m=16, n=10, max_candidates=5000, seed=21)
         ts = pm.verify_trigger_set(holdout, source, ball, cfg)
         assert set(rows) == {1}
-        assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+        assert_same_set(ts, *reference_collect(holdout, source, proxy_models(ball, cfg), cfg))
 
     @pytest.mark.parametrize("frac, n, max_candidates", [(0.05, 5, 5000), (0.5, 10, 30)])
     def test_stop_inside_proxy_pass(self, pipeline, monkeypatch, frac, n, max_candidates):
@@ -739,13 +792,14 @@ class TestEngineEquivalence:
         assert (ts.n == n) == (message is None)
         if message is not None:
             assert ts.stats.candidates_consumed == max_candidates
-        assert_same_set(ts, *reference_collect(holdout, source, build_proxies(ball, cfg), cfg))
+        assert_same_set(ts, *reference_collect(holdout, source, proxy_models(ball, cfg), cfg))
 
     def test_draw_cap_beyond_window(self, pipeline):
         # a class-3 model on 40 class-3 rows and one row each of classes 0 and
         # 1: only the (0, 1) pairs are candidates, 1 draw in 882. max_candidates
-        # =100 caps a search at 1000 pair draws, longer than a window, so runs
-        # of misses cross windows and some searches run dry
+        # is the smallest whose cap of 10 * max_candidates pair draws is longer
+        # than a window (1030 draws at 1024 pass rows), so runs of misses cross
+        # windows and some searches run dry
         _, _, holdout, source = pipeline
         theta = np.zeros(source.spec.num_params)
         theta[-1] = 1.0  # output bias of class 3
@@ -754,11 +808,11 @@ class TestEngineEquivalence:
         ball = ProxyBall(constant, relative_delta(constant, 0.05))
         capped = []
         for seed in range(20):
-            cfg = VerifyConfig(m=4, n=2, max_candidates=100, seed=seed)
+            cfg = VerifyConfig(m=4, n=2, max_candidates=watermark._PASS_ROWS // 10 + 1, seed=seed)
             assert 10 * cfg.max_candidates > watermark._PASS_ROWS
             ts, message = build_outcome(rare, constant, ball, cfg)
             try:
-                expected = reference_collect(rare, constant, build_proxies(ball, cfg), cfg)
+                expected = reference_collect(rare, constant, proxy_models(ball, cfg), cfg)
             except NoCandidateFoundError as err:
                 assert (ts, message) == (None, str(err))
                 capped.append(seed)
