@@ -10,8 +10,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .nn import (Model, ModelSpec, TrainConfig, _check_features, _forward, _stack_layers, fit_many, forward,
-                 predict, unpack)
+from .nn import (Model, ModelSpec, TrainConfig, _check_features, _forward, _stack_layers, _zeros, fit_many,
+                 forward, predict, unpack)
 
 # perfbench/spans.py wraps attacks.fit; it stays importable from here, although
 # the attacks now train through fit_many.
@@ -59,7 +59,8 @@ def neuron_activity(f: Model, calibration: Dataset) -> list[np.ndarray]:
     set, read from the hidden layers of one forward pass."""
     x = _check_features(f.spec, calibration.features)[0]
     post = [np.empty((len(x), 1, d)) for d in f.spec.layer_dims[1:]]
-    _forward(_stack_layers(f.spec, f.theta, 1), f.spec.activation, x, post)
+    zeros = _zeros(len(x) * max(f.spec.hidden_layers, default=0))
+    _forward(_stack_layers(f.spec, f.theta, 1), f.spec.activation, x, post, zeros)
     return [np.mean(np.abs(a[:, 0]), axis=0) for a in post[:-1]]
 
 

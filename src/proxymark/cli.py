@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .data import write_new
 from .errors import ConfigError, ProxymarkError
 from .nn import accuracy, load_checkpoint, save_checkpoint
 from .stats import ALPHA, clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
@@ -126,11 +127,11 @@ def cmd_verify(args) -> int:
     )
     sys.stdout.write(text)
     if outdir:
-        (outdir / "verification.txt").write_text(text, encoding="ascii")
-        (outdir / "verification.csv").write_text(
+        write_new(outdir / "verification.txt", text)
+        write_new(
+            outdir / "verification.csv",
             "trigger_accuracy,p_hat,alpha,phi,baseline_accuracy,baseline_kind,threshold,verdict\n"
             f"{tacc!r},{p_hat!r},{alpha!r},{phi!r},{baseline!r},chance,{threshold!r},{verdict.value}\n",
-            encoding="ascii",
         )
     return EXIT_OK
 

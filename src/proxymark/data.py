@@ -1,4 +1,5 @@
-"""Dataset construction, CSV ingestion, and stratified train/hold-out split.
+"""Dataset construction, CSV ingestion, and stratified train/hold-out split;
+and write_new, which writes every output file.
 
 Labels are 0-based in memory; the CSV format uses 1-based labels with a
 "y,x1,...,xd" header. Floats are exported with 17 significant digits so
@@ -8,6 +9,7 @@ export -> load is an exact round-trip.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +118,23 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return data.subset(train_idx), data.subset(holdout_idx)
 
 
+def write_new(path, content: bytes | str) -> None:
+    """Write content (str as ASCII) to path as a new file. An existing file,
+    or a symlink, at path is deleted first, so the write neither goes through
+    a link nor waits on writeback of the old file's pages, which an
+    overwrite in place can do for tens of milliseconds."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as fh:
+        fh.write(content.encode("ascii") if isinstance(content, str) else content)
+
+
 def save_csv(data: Dataset, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("y," + ",".join(f"x{i + 1}" for i in range(data.dim)) + "\n")
-        for y, row in zip(data.labels, data.features):
-            fh.write(f"{y + 1}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    lines = ["y," + ",".join(f"x{i + 1}" for i in range(data.dim))]
+    lines += [f"{y + 1}," + ",".join(f"{v:.17g}" for v in row) for y, row in zip(data.labels, data.features)]
+    write_new(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> Dataset:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import attacks as atk
 from .config import AttackBlock, ExperimentConfig
-from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split
+from .data import Dataset, SplitSpec, check_subset_fraction, load_csv, make_blobs, split, write_new
 from .errors import DegenerateRuleError, InputError
 from .nn import Model, ModelSpec, TrainConfig, accuracy, fit_many, save_checkpoint, train
 from .stats import clopper_pearson_lower, lemma_bound, ownership_verdict, trigger_accuracy
@@ -372,7 +372,7 @@ def _write_attack_manifest(path: Path, block: AttackBlock, seed: int, clean_accu
         "seed": seed,
         "clean_accuracy": clean_accuracy,
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
+    write_new(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def emit_report(report: ExperimentReport, output_dir) -> None:
@@ -380,12 +380,12 @@ def emit_report(report: ExperimentReport, output_dir) -> None:
     lines = [REPORT_HEADER] + [
         f"{r.role},{r.attack},{r.seed},{r.clean_acc!r},{r.trigger_acc!r},{r.verdict}" for r in report.rows
     ]
-    (outdir / "report.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_new(outdir / "report.csv", "\n".join(lines) + "\n")
 
     plot_lines = [PLOTDATA_HEADER] + [
         f"{repr(r)},{repr(c)},{repr(t)}" for r, c, t in report.prune_curve
     ]
-    (outdir / "plotdata.csv").write_text("\n".join(plot_lines) + "\n", encoding="ascii")
+    write_new(outdir / "plotdata.csv", "\n".join(plot_lines) + "\n")
 
     summary = ["experiment summary", "=" * 40]
     summary.append(f"p_hat (CP lower, alpha={report.alpha}): {report.p_hat:.6f}")
@@ -400,4 +400,4 @@ def emit_report(report: ExperimentReport, output_dir) -> None:
         summary.append(f"{role + '/' + kind:<28}{mean:.4f} +/- {std:.4f}{'':<10}{count:<6}")
     summary.append("")
     summary.append(f"wall clock: {report.wall_clock:.2f}s")
-    (outdir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="ascii")
+    write_new(outdir / "summary.txt", "\n".join(summary) + "\n")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_new
 from .errors import CheckpointFormatError, InputError, TrainingDivergedError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -173,20 +174,34 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward(layers, act: str, x: np.ndarray, post: list) -> np.ndarray:
+def _zeros(size: int) -> np.ndarray:
+    """A read-only block of size +0.0s, _relu's other operand."""
+    zeros = np.zeros(size)
+    zeros.flags.writeable = False
+    return zeros
+
+
+def _relu(z: np.ndarray, zeros: np.ndarray) -> None:
+    """max(z, 0) in place on a contiguous z, against the first z.size entries of zeros."""
+    # not np.maximum(z, 0.0): a scalar operand takes numpy's non-SIMD loop, 4x slower for the same bits
+    np.maximum(z, zeros[: z.size].reshape(z.shape), out=z)
+
+
+def _forward(layers, act: str, x: np.ndarray, post: list, zeros: np.ndarray) -> np.ndarray:
     """The one forward pass, of a stack of k same-spec models with per-layer
     (W, b) views (k, fan_in, fan_out) and (k, fan_out): on shared rows x
     (rows, input_dim), or on each model's own rows as a (k, rows, input_dim)
     view. Each model's product is its own GEMM, written through the (k, rows,
     width) view of its layer's rows-major (rows, k, width) buffer in post;
     the bias add, activation and softmax act on the whole stack in place.
+    zeros (_zeros) has at least as many entries as a hidden buffer.
     Returns the last buffer, the class probabilities."""
     a, last = x, len(layers) - 1
     for i, ((w, b), z) in enumerate(zip(layers, post)):
         np.matmul(a, w, out=z.transpose(1, 0, 2))
         z += b
         if i < last and act == "relu":
-            np.maximum(z, 0.0, out=z)
+            _relu(z, zeros)
         elif i < last:
             np.tanh(z, out=z)
         a = z.transpose(1, 0, 2)
@@ -200,7 +215,8 @@ def stacked_forward(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray) -> np.nd
     is rows-major, (rows, k, num_classes). Each model's slice [:, j] equals
     its own batched forward bit for bit."""
     post = [np.empty((len(x), len(thetas), d)) for d in spec.layer_dims[1:]]
-    return _forward(_stack_layers(spec, thetas, 1), spec.activation, x, post)
+    zeros = _zeros(len(x) * len(thetas) * max(spec.hidden_layers, default=0))
+    return _forward(_stack_layers(spec, thetas, 1), spec.activation, x, post, zeros)
 
 
 def forward(model: Model, x) -> np.ndarray:
@@ -264,12 +280,13 @@ def _loss_grad(probs: np.ndarray, labels, teacher, gamma: float) -> np.ndarray:
 
 class _Batch:
     """Rows-major (rows, k, width) buffers for one batch shape of a stack: per
-    layer, its input or output, and per hidden layer its delta. Kept across
-    steps, so a step allocates none of them."""
+    layer, its input or output, and per hidden layer its delta; and _relu's
+    zeros. Kept across steps, so a step allocates none of them."""
 
     def __init__(self, dims: tuple[int, ...], rows: int, k: int):
         self.post = [np.empty((rows, k, d)) for d in dims]
         self.delta = [np.empty((rows, k, d)) for d in dims[:-1]]  # [0] is never written
+        self.zeros = _zeros(rows * k * max(dims[1:-1], default=0))
 
 
 def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float) -> np.ndarray:
@@ -277,7 +294,7 @@ def _step(layers, glayers, act: str, buf: _Batch, labels, teacher, gamma: float)
     returns the k _loss_grad() losses and writes their gradients into the
     glayers views (_stack_layers). As in _forward, each model's products are
     its own GEMMs, and the rest acts on the whole rows-major stack at once."""
-    delta = _forward(layers, act, buf.post[0].transpose(1, 0, 2), buf.post[1:])
+    delta = _forward(layers, act, buf.post[0].transpose(1, 0, 2), buf.post[1:], buf.zeros)
     loss = _loss_grad(delta, labels, teacher, gamma)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = glayers[i]
@@ -453,8 +470,7 @@ def checkpoint_bytes(model: Model) -> bytes:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model))
+    write_new(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> Model:

@@ -307,6 +307,23 @@ class TestSubcommands:
             assert written_files(report) == {"verification.csv": csv.encode(), "verification.txt": text.encode()}
         assert verdicts == {"stolen", "independent", "inconclusive"}
 
+    def test_verify_twice_into_one_out_writes_identical_reports(self, config_file, tmp_path, capsys):
+        path, out = config_file
+        assert main(["watermark", "--config", str(path)]) == EXIT_OK
+        report = tmp_path / "report"
+        argv = ["verify", "--suspect", str(out / "source.ckpt"), "--trigger-set", str(out / "trigger_set.json"),
+                "--out", str(report)]
+        assert main(argv) == EXIT_OK
+        first = written_files(report)
+        for name in first:  # the old reports live on under second names, so their inodes stay taken
+            (tmp_path / name).hardlink_to(report / name)
+        assert main(argv) == EXIT_OK
+        assert written_files(report) == first
+        assert sorted(first) == ["verification.csv", "verification.txt"]
+        for name, data in first.items():
+            assert (report / name).stat().st_ino != (tmp_path / name).stat().st_ino
+            assert (tmp_path / name).read_bytes() == data
+
     def test_attack_writes_surrogates(self, config_file, capsys):
         path, out = config_file
         assert main(["attack", "--config", str(path)]) == EXIT_OK

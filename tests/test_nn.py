@@ -19,8 +19,11 @@ from proxymark.errors import (
 from proxymark.nn import (
     PROB_FLOOR,
     Model,
+    _Batch,
     _check_features,
     _pairwise_row_sums,
+    _relu,
+    _zeros,
     checkpoint_bytes,
     fingerprint,
     fit,
@@ -162,6 +165,52 @@ class TestForward:
             for j in range(k):
                 want = _ref_forward_cached(Model(spec, thetas[j]), x)[0]
                 assert got[:, j].tobytes() == want.tobytes()
+
+
+class TestRelu:
+    """Relu runs against a read-only block of +0.0s, not the scalar 0.0, and
+    gives the scalar form's bits."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1e-300, -1e-300, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0, np.nan]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 15), (3, 2, 15), (15, 7, 1)])
+    def test_equals_scalar_maximum_bit_for_bit(self, shape):
+        z = np.resize(np.array(self.SPECIAL), shape)
+        want = np.maximum(z, 0.0)
+        _relu(z, _zeros(z.size + 3))  # a block larger than z, as a stack's first layer takes it
+        assert z.tobytes() == want.tobytes()
+
+    def test_zeros_block_is_read_only(self):
+        for zeros in (_zeros(8), _Batch((2, 5, 3), 4, 2).zeros):
+            with pytest.raises(ValueError, match="read-only"):
+                zeros[0] = 1.0
+
+    def test_zeros_stay_positive_zero(self, monkeypatch, blob_split, small_spec):
+        """Every block a forward pass ran against is all +0.0 after a fit_many
+        stack, a predict, a trigger-set build and pruning's activities."""
+        from proxymark import attacks, nn
+
+        blocks = []
+        forward = nn._forward
+
+        def spy(layers, act, x, post, zeros):
+            blocks.append(zeros)
+            return forward(layers, act, x, post, zeros)
+
+        monkeypatch.setattr(nn, "_forward", spy)
+        monkeypatch.setattr(attacks, "_forward", spy)
+        train_data, holdout = blob_split
+        (model, _), _ = fit_many(small_spec, train_data.features, train_data.labels,
+                                 pm.TrainConfig(epochs=3, batch_size=16), [0, 1])
+        pm.predict(model, holdout.features)
+        ball = pm.ProxyBall(model, 0.05 * np.linalg.norm(model.theta))
+        pm.verify_trigger_set(holdout, model, ball, pm.VerifyConfig(m=4, n=2, max_candidates=10_000))
+        attacks.neuron_activity(model, holdout)
+        assert len({id(b) for b in blocks}) >= 4
+        for zeros in blocks:
+            assert not zeros.flags.writeable
+            assert zeros.tobytes() == bytes(zeros.nbytes)  # +0.0 is all zero bits
 
 
 def _numeric_gradient(model, x, targets, loss, eps=1e-6):
@@ -706,6 +755,26 @@ class TestCheckpoint:
         loaded = pm.load_checkpoint(path)
         assert loaded.spec == trained_source.spec
         assert np.array_equal(loaded.theta, trained_source.theta)
+
+    def test_save_over_existing_file_writes_a_new_one(self, trained_source, tmp_path):
+        path = tmp_path / "model.ckpt"
+        pm.save_checkpoint(trained_source, path)
+        first, inode = path.read_bytes(), path.stat().st_ino
+        kept = tmp_path / "kept.ckpt"
+        kept.hardlink_to(path)  # the old file lives on under a second name, so its inode stays taken
+        pm.save_checkpoint(trained_source, path)
+        assert path.stat().st_ino != inode
+        assert path.read_bytes() == first == kept.read_bytes()
+
+    def test_save_replaces_a_symlink(self, trained_source, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(b"untouched")
+        path = tmp_path / "model.ckpt"
+        path.symlink_to(target)
+        pm.save_checkpoint(trained_source, path)
+        assert not path.is_symlink()
+        assert target.read_bytes() == b"untouched"
+        assert pm.load_checkpoint(path).theta.tobytes() == trained_source.theta.tobytes()
 
     @given(spec=small_specs, seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)

@@ -515,6 +515,65 @@ class TestSerialization:
             pm.load_trigger_set(path)
 
 
+def reference_manifest(ts, blob_name):
+    """The manifest as a dict of sample-record dicts, which save_trigger_set's
+    text must equal as json.dumps(..., indent=2) lays it out."""
+    return {
+        "version": watermark.TRIGGER_FILE_VERSION,
+        "n": ts.n,
+        "dim": int(ts.xs.shape[1]) if ts.n else 0,
+        "source_fingerprint": ts.source_fingerprint,
+        "seeds": {"verify_seed": ts.seed},
+        "ball": ts.ball_params,
+        "blob": blob_name,
+        "samples": [
+            {"parent_a": a, "parent_b": b, "lambda": f"{lam:.17g}", "y_star": y + 1}
+            for (a, b), lam, y in zip(ts.parents.tolist(), ts.lam.tolist(), ts.y_star.tolist())
+        ],
+    }
+
+
+class TestManifestWriter:
+    # the margins, and lambdas whose .17g form has an exponent
+    LAMBDAS = [LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN, 3.0000000000000001e-05, 9.9999999999999995e-08, 1e-300]
+    BALLS = {
+        "plain": {"delta": 0.25, "tau": 1.0, "sigma": 0.0125, "m": 8},
+        "alpha": {"delta": 0.25, "tau": 1.0, "sigma": 0.0125, "m": 8, "alpha": 0.05},
+        "complements": {"delta": 1e-17, "tau": 0.5, "sigma": 3.5e-20, "m": 64, "complements": 2, "alpha": 0.01},
+    }
+
+    @pytest.mark.parametrize("ball", list(BALLS))
+    @pytest.mark.parametrize("n", [0, 1, 10, 200])
+    def test_text_equals_json_dumps(self, tmp_path, n, ball):
+        rng = np.random.default_rng(n)
+        lam = np.concatenate([self.LAMBDAS, rng.uniform(LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN, n)])[:n]
+        ts = TriggerSet(rng.normal(size=(n, 3)), rng.integers(0, 12, n), rng.integers(0, 10**6, (n, 2)), lam,
+                        "ab" * 32, ball_params=dict(self.BALLS[ball]), seed=None if n == 1 else 7 * n)
+        path = tmp_path / "set.json"
+        pm.save_trigger_set(ts, path)
+        assert path.read_text() == json.dumps(reference_manifest(ts, "set.bin"), indent=2) + "\n"
+        loaded = pm.load_trigger_set(path)
+        assert (loaded.source_fingerprint, loaded.seed, loaded.ball_params) == (
+            ts.source_fingerprint, ts.seed, ts.ball_params)
+        for field in ("xs", "y_star", "parents", "lam"):
+            assert getattr(loaded, field).tobytes() == getattr(ts, field).tobytes()
+
+    def test_save_over_existing_files_writes_new_ones(self, pipeline, tmp_path):
+        _, _, holdout, source = pipeline
+        ts = pm.verify_trigger_set(holdout, source, ProxyBall(source, relative_delta(source, 0.05)),
+                                   VerifyConfig(m=4, n=4, seed=2))
+        path = tmp_path / "trigger_set.json"
+        pm.save_trigger_set(ts, path)
+        files = (path, path.with_suffix(".bin"))
+        first = [(f.read_bytes(), f.stat().st_ino) for f in files]
+        for f in files:  # the old files live on under second names, so their inodes stay taken
+            f.with_name("kept_" + f.name).hardlink_to(f)
+        pm.save_trigger_set(ts, path)
+        for f, (data, inode) in zip(files, first):
+            assert f.stat().st_ino != inode
+            assert f.read_bytes() == data == f.with_name("kept_" + f.name).read_bytes()
+
+
 class TestRecomputeAndCheck:
     def test_detects_tampered_sample(self, pipeline):
         _, _, holdout, source = pipeline
